@@ -198,9 +198,16 @@ fn main() {
         &table,
     );
     emit_json(&rows);
+    let jobs = |coalesced: bool| {
+        rows.iter()
+            .filter(move |r| (r.arm.segment_bytes > 0) == coalesced)
+            .map(|r| r.offload.store_jobs)
+    };
+    let per_tensor = jobs(false).max().unwrap_or(0);
+    let segments = jobs(true).min().unwrap_or(0);
     println!(
-        "\ncoalescing collapses thousands of per-tensor store jobs into hundreds of\n\
-         sequential segments: the per-job submission overhead leaves the step clock\n\
+        "\ncoalescing collapses {per_tensor} per-tensor store jobs into {segments} sequential\n\
+         segments: the per-job submission overhead leaves the step clock\n\
          and the per-op media padding leaves the wear meter (lower effective WAF).\n\
          group prefetch on the double buffer keeps the backward's next group in\n\
          flight while the current one is consumed, holding the load stall at or\n\

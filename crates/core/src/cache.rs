@@ -27,10 +27,10 @@ use crate::io::{IoEngine, JobId};
 use crate::placement::{OffloadClass, Placement, PlacementPolicy, PlacementQuery};
 use crate::stats::OffloadStats;
 use crate::target::{BatchItem, OffloadTarget};
-use crate::tier::{TierId, TierStack};
+use crate::tier::{TierId, TierPlacement, TierStack};
 use parking_lot::Mutex;
 use ssdtrain_autograd::{ModuleHooks, Packed, Phase, SavedTensorHooks, ScopeInfo};
-use ssdtrain_simhw::{BufferArena, GpuMemory, PinnedSlab, SimTime};
+use ssdtrain_simhw::{ArenaStats, BufferArena, GpuMemory, PinnedSlab, SimTime};
 use ssdtrain_tensor::Tensor;
 use ssdtrain_trace::{ArgValue, TraceCategory, TraceSink};
 use std::collections::{HashMap, HashSet};
@@ -72,10 +72,10 @@ impl StageHint {
 enum RecState {
     /// In GPU memory (loaded back or forwarded).
     Resident,
-    /// Staged in the write coalescer's open segment for its tier; no
-    /// store job exists yet and the data is still resident. Consuming a
-    /// staged record evicts it from the segment — forwarding that never
-    /// even queued a job.
+    /// Staged in the write coalescer's open segment for its (tier,
+    /// class); no store job exists yet and the data is still resident.
+    /// Consuming a staged record evicts it from the segment — forwarding
+    /// that never even queued a job.
     Staged,
     /// Store in flight; data still resident (release deferred).
     Storing { job: JobId },
@@ -86,10 +86,43 @@ enum RecState {
     Loading { ready: SimTime },
 }
 
+/// How long a record stays in the cache.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Lifetime {
+    /// Activations: released by backward consumption or the end-of-step
+    /// flush.
+    Step,
+    /// Gradients and optimizer state: survive `flush` and `begin_step`
+    /// until [`TensorCache::release_state`]. State has no forwarding
+    /// path, so a store commits as soon as its job is submitted (its
+    /// per-tensor job at admission, its segment's job at seal) and no
+    /// job id outlives the step's I/O queues.
+    Persistent,
+}
+
+impl Lifetime {
+    /// Activations are step-scoped; every state class is persistent.
+    fn of(class: OffloadClass) -> Lifetime {
+        match class {
+            OffloadClass::Activation => Lifetime::Step,
+            OffloadClass::Gradient | OffloadClass::OptimizerState => Lifetime::Persistent,
+        }
+    }
+}
+
+/// The trace tag on `class`'s store-account events (`store.enqueue`,
+/// `store.cancel`, `recovery.*`), so the trace's byte identity splits
+/// per class. Activation events, the default class, stay untagged.
+fn class_tag(class: OffloadClass) -> Option<(&'static str, &'static str)> {
+    (class != OffloadClass::Activation).then(|| ("class", class.label()))
+}
+
 struct Record {
     key: TensorKey,
     tensor: Tensor,
     bytes: u64,
+    class: OffloadClass,
+    lifetime: Lifetime,
     state: RecState,
     scopes: HashSet<u64>,
     /// The tier holding (or about to hold) the bytes; demotion moves it.
@@ -100,6 +133,10 @@ struct Record {
     /// Pinned staging slab the bytes occupy while a store is staged or
     /// in flight; released exactly once when the staging retires.
     slab: Option<PinnedSlab>,
+    /// When the committed store's job ends — the bytes' earliest legal
+    /// read. Reset at `begin_step`: the previous step's drains landed
+    /// every store before the clock restarted.
+    landed: SimTime,
 }
 
 /// A sealed segment whose store job is in flight: the per-segment index
@@ -108,58 +145,17 @@ struct Record {
 struct SegmentState {
     job: JobId,
     tier: TierId,
+    class: OffloadClass,
     entries: Vec<SegmentEntry>,
 }
 
-/// How `unpack` pre-handles a record on the coalesced path, decided
-/// under a short borrow so whole-segment actions can run on `Inner`.
-enum CoalescedHit {
-    /// Staged member consumed before its segment sealed: evicted from
-    /// the open segment — forwarding that never queued a job.
-    Evicted {
-        tier: TierId,
-        bytes: u64,
-        slab: Option<PinnedSlab>,
-        tensor: Tensor,
-    },
-    /// Member of a sealed segment consumed inside the forwarding window:
-    /// forwarded *without* cancelling — the segment job carries its
-    /// siblings and commit will skip this resident member.
-    Forwarded {
-        bytes: u64,
-        slab: Option<PinnedSlab>,
-        tensor: Tensor,
-    },
-    /// The member's segment must commit before the reload can begin.
-    Commit { seg: u64, end: SimTime },
-}
-
 /// Opaque handle to an offloaded state tensor (a gradient or optimizer
-/// state slot created by [`TensorCache::offload_state`]). Unlike
-/// activation records, state slots survive step boundaries: optimizer
-/// state lives across steps and is reloaded by the next step's
-/// optimizer jobs.
+/// state slot created by [`TensorCache::offload_state`]): the id of a
+/// persistent record. Unlike activation records, state slots survive
+/// step boundaries: optimizer state lives across steps and is reloaded
+/// by the next step's optimizer jobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct StateSlot(u64);
-
-/// A non-activation offload record (gradient / optimizer state). The
-/// bytes are written to their tier eagerly at submit time (there is no
-/// deferred commit: state has no forwarding path), and the slot tracks
-/// when the simulated store drains so a load in the same step can never
-/// observe the bytes before they physically landed.
-struct StateRecord {
-    key: TensorKey,
-    tensor: Tensor,
-    bytes: u64,
-    class: OffloadClass,
-    tier: TierId,
-    /// Bytes are on the tier (false after a load restored them).
-    offloaded: bool,
-    /// Simulated time the store drains; loads this step clamp to it.
-    /// Reset to zero at step boundaries (the optimizer-stage drain
-    /// barrier guarantees every store landed before the step ended).
-    avail: SimTime,
-}
+pub struct StateSlot(RecordId);
 
 #[derive(Default)]
 struct ScopeMeta {
@@ -284,10 +280,9 @@ pub struct TensorCache {
     /// Lock order: `inner` before `coalescer`, never the reverse.
     coalescer: Mutex<WriteCoalescer>,
     inner: Mutex<Inner>,
-    /// State slots (gradients, optimizer state); separate from `inner`
-    /// because they survive the per-step record flush.
-    state_slots: Mutex<HashMap<u64, StateRecord>>,
-    next_state_slot: Mutex<u64>,
+    /// The arena's cumulative counters at the last `begin_step`; the
+    /// per-step stats report deltas against it.
+    arena_base: Mutex<ArenaStats>,
     stats: Mutex<OffloadStats>,
     plan: Mutex<AdaptivePlan>,
     tier_plan: Mutex<TierPlan>,
@@ -332,8 +327,7 @@ impl TensorCache {
             arena: BufferArena::new(),
             coalescer,
             inner: Mutex::new(Inner::default()),
-            state_slots: Mutex::new(HashMap::new()),
-            next_state_slot: Mutex::new(0),
+            arena_base: Mutex::new(ArenaStats::default()),
             stats: Mutex::new(OffloadStats::default()),
             plan: Mutex::new(AdaptivePlan::default()),
             tier_plan: Mutex::new(TierPlan::default()),
@@ -410,8 +404,9 @@ impl TensorCache {
     pub fn stats(&self) -> OffloadStats {
         let mut stats = self.stats.lock().clone();
         let arena = self.arena.stats();
-        stats.arena_acquired_bytes = arena.acquired_bytes;
-        stats.arena_released_bytes = arena.released_bytes;
+        let base = *self.arena_base.lock();
+        stats.arena_acquired_bytes = arena.acquired_bytes - base.acquired_bytes;
+        stats.arena_released_bytes = arena.released_bytes - base.released_bytes;
         stats.arena_high_water_bytes = arena.high_water_bytes;
         stats.arena_footprint_bytes = arena.footprint_bytes;
         stats.arena_slab_reuses = arena.slab_reuses;
@@ -480,23 +475,22 @@ impl TensorCache {
         // tracking only the slabs that survived the boundary.
         *self.coalescer.lock() = WriteCoalescer::new(self.config.coalesce_segment_bytes);
         self.arena.begin_step();
+        *self.arena_base.lock() = self.arena.stats();
         let mut inner = self.inner.lock();
         inner.stack.clear();
         inner.scopes.clear();
         inner.forward_order.clear();
         inner.segments.clear();
         inner.groups_loaded.clear();
+        for rec in inner.records.values_mut() {
+            rec.landed = SimTime::ZERO;
+        }
         inner.phase = Phase::Forward;
         inner.fwd_start = self.io.clock().now();
         inner.fwd_secs = 0.0;
         *self.stats.lock() = OffloadStats::default();
         self.link_stalls.lock().clear();
         self.tiers.reset_counters();
-        // State stores from the previous step drained at its optimizer
-        // barrier; on the fresh clock they are available immediately.
-        for slot in self.state_slots.lock().values_mut() {
-            slot.avail = SimTime::ZERO;
-        }
         // Failures during the flush above belong to the step that
         // already reported; the new step starts clean.
         *self.pending_error.lock() = None;
@@ -974,11 +968,19 @@ impl TensorCache {
         self.inner.lock().current_mb = mb;
     }
 
-    /// Releases every remaining record (end of step). Stores still in
-    /// flight commit at their completion times.
+    /// Releases every remaining step-scoped record (end of step); stores
+    /// still in flight commit at their completion times. Persistent
+    /// records stay.
     pub fn flush(&self) {
         self.seal_open_segments();
-        let ids: Vec<RecordId> = self.inner.lock().records.keys().copied().collect();
+        let ids: Vec<RecordId> = self
+            .inner
+            .lock()
+            .records
+            .iter()
+            .filter(|(_, r)| r.lifetime == Lifetime::Step)
+            .map(|(id, _)| *id)
+            .collect();
         for id in ids {
             // ssdtrain-lint: allow(no-alloc-hot-loop): releasing a record
             // serialises and writes its payload — the buffer is the offload
@@ -986,7 +988,9 @@ impl TensorCache {
         }
         let mut inner = self.inner.lock();
         inner.by_key.clear();
-        inner.records.clear();
+        inner
+            .records
+            .retain(|_, r| r.lifetime == Lifetime::Persistent);
         inner.segments.clear();
         inner.groups_loaded.clear();
         let slabs: Vec<PinnedSlab> = inner.group_slabs.drain().map(|(_, s)| s).collect();
@@ -1006,16 +1010,23 @@ impl TensorCache {
     // ------------------------------------------------------------------
 
     /// Offloads a state tensor (gradient or optimizer state) through the
-    /// same placement → tier → I/O stack activations use. Returns the
-    /// slot handle, or `None` when the tensor stays resident — placement
-    /// keep, full tiers, or a store failure absorbed per the configured
-    /// [`RecoveryPolicy`] (under [`RecoveryPolicy::FailStep`] the error
-    /// additionally lands in [`TensorCache::take_error`]).
+    /// same placement → tier → coalescer → I/O path activations use, as a
+    /// persistent record. Returns the slot handle, or `None` when the
+    /// tensor stays resident — placement keep, full tiers, or a failed
+    /// write absorbed by recovery.
     ///
     /// The store job rides the admitting tier's [`crate::TierLink`] (and
-    /// the shared write bus, when configured); the tensor's GPU memory is
-    /// freed at the store's simulated completion. A same-step
-    /// [`TensorCache::load_state`] can never complete before that time.
+    /// the shared write bus, when configured) — with
+    /// [`TensorCacheConfig::coalesce_segment_bytes`] set, as part of a
+    /// segment of its class, sealed at the size threshold, the next
+    /// stage drain or the slot's first read. The bytes cross to the tier
+    /// when the job is submitted, and the tensor's GPU memory is freed at
+    /// the job's simulated completion. A failed write is recovered per
+    /// the configured [`RecoveryPolicy`] exactly like an activation's
+    /// (under [`RecoveryPolicy::FailStep`] the error also lands in
+    /// [`TensorCache::take_error`]); a tensor kept resident by a failed
+    /// per-tensor write gets no slot, one in a failed segment stays
+    /// resident behind its slot.
     pub fn offload_state(&self, tensor: &Tensor, class: OffloadClass) -> Option<StateSlot> {
         let query = PlacementQuery {
             class,
@@ -1024,183 +1035,69 @@ impl TensorCache {
             in_backward: false,
             module_kept: false,
         };
-        if let Placement::Keep(reason) = self.placement.decide(&query) {
-            if reason.counts_in_stats() {
-                self.stats.lock().kept += 1;
-            }
+        if self.placement_keeps(&query) {
             return None;
         }
         let bytes = tensor.bytes();
         let Some(placement) = self.tiers.reserve(bytes) else {
-            let mut stats = self.stats.lock();
-            stats.kept += 1;
-            stats.placement_kept_bytes += bytes;
-            drop(stats);
-            self.trace().instant_bytes(
-                TraceCategory::Tier,
-                "tier.full",
-                self.io.clock().now(),
-                bytes,
-            );
+            self.refuse_full(bytes);
             return None;
         };
-        let key = tensor_key(tensor);
-        let job = self
-            .io
-            .submit_store_to(self.tiers.link(placement.tier), bytes);
-        let (start, end) = self.io.store_span(job);
-        let trace = self.trace();
-        trace.instant_bytes(TraceCategory::Store, "store.enqueue", start, bytes);
-        // State bytes pass through the pinned arena like activations do;
-        // the slab is held only across the eager write below.
-        let slab = self.arena.acquire(bytes);
-        if slab.is_some() {
-            trace.instant_bytes(
-                TraceCategory::Arena,
-                "arena.acquire",
-                self.io.clock().now(),
-                bytes,
-            );
-        }
-        // State has no forwarding path: the payload crosses to the tier
-        // now, so recovery runs here rather than at a deferred commit.
-        let data = tensor.storage().to_bytes();
-        let tier = match self
-            .tiers
-            .write(placement.tier, &key, data.as_deref(), bytes)
-        {
-            Ok(()) => placement.tier,
-            Err(err) => {
-                self.stats.lock().store_failures += 1;
-                let demoted = (self.config.recovery == RecoveryPolicy::FallbackTarget)
-                    .then(|| {
-                        self.tiers.demote(
-                            placement.tier,
-                            &key,
-                            data.as_deref(),
-                            bytes,
-                            self.config.max_io_retries,
-                        )
-                    })
-                    .flatten();
-                match demoted {
-                    Some(dest) => {
-                        let mut stats = self.stats.lock();
-                        stats.fallback_bytes += bytes;
-                        drop(stats);
-                        trace.instant_with(
-                            TraceCategory::Recovery,
-                            "recovery.fallback",
-                            self.io.clock().now(),
-                            // ssdtrain-lint: allow(no-alloc-hot-loop): recovery
-                            // path only — runs after a failed store, never in
-                            // the steady-state offload loop
-                            vec![
-                                ("bytes", ArgValue::U64(bytes)),
-                                ("target", ArgValue::from(self.tiers.name(dest))),
-                            ],
-                        );
-                        dest
-                    }
-                    None => {
-                        // Keep the tensor resident; the reservation and
-                        // the dead store job are both returned.
-                        self.retire_slab(slab);
-                        self.tiers.remove(placement.tier, &key, bytes);
-                        let _ = self.io.try_cancel_store(job, self.io.clock().now());
-                        let mut stats = self.stats.lock();
-                        stats.kept_resident_bytes += bytes;
-                        drop(stats);
-                        trace.instant_bytes(
-                            TraceCategory::Recovery,
-                            "recovery.keep_resident",
-                            self.io.clock().now(),
-                            bytes,
-                        );
-                        if self.config.recovery == RecoveryPolicy::FailStep {
-                            trace.instant(
-                                TraceCategory::Recovery,
-                                "recovery.fail_step",
-                                self.io.clock().now(),
-                            );
-                            let mut pending = self.pending_error.lock();
-                            if pending.is_none() {
-                                *pending = Some(OffloadError::Store {
-                                    key,
-                                    bytes,
-                                    target: self.tiers.name(placement.tier),
-                                    source: err,
-                                });
-                            }
-                        }
-                        return None;
-                    }
-                }
-            }
-        };
-        self.mem.with_time(end, || tensor.storage().release());
-        self.retire_slab(slab);
-        trace.span_bytes(TraceCategory::Store, "store", start, end, bytes);
-        // Fallback bytes are counted under `fallback_bytes`, not
-        // `offloaded_bytes`, exactly as the activation recovery does.
-        let fell_back = tier != placement.tier;
-        let mut stats = self.stats.lock();
-        stats.store_jobs += 1;
-        if !fell_back {
-            stats.offloaded_bytes += bytes;
-            if placement.spilled {
-                stats.spilled_bytes += bytes;
-            }
-        }
-        let c = stats.class_mut(class);
-        c.stores += 1;
-        if !fell_back {
-            c.offloaded_bytes += bytes;
-        }
-        drop(stats);
-        let id = {
-            let mut next = self.next_state_slot.lock();
-            let id = *next;
-            *next += 1;
-            id
-        };
-        self.state_slots.lock().insert(
-            id,
-            StateRecord {
-                key,
-                tensor: tensor.clone(),
-                bytes,
-                class,
-                tier,
-                offloaded: true,
-                avail: end,
-            },
+        let mut inner = self.inner.lock();
+        let (id, _) = self.admit(
+            &mut inner,
+            tensor,
+            tensor_key(tensor),
+            placement,
+            class,
+            HashSet::new(),
         );
-        Some(StateSlot(id))
+        let rec = inner.records.get(&id)?;
+        if rec.seg.is_some() || !matches!(rec.state, RecState::Resident) {
+            return Some(StateSlot(id));
+        }
+        // Its own write failed and recovery kept the tensor: like a keep,
+        // it gets no slot, no store job and its reservation returns now.
+        let rec = inner.records.remove(&id)?;
+        drop(inner);
+        self.tiers.remove(rec.tier, &rec.key, rec.bytes);
+        let mut stats = self.stats.lock();
+        stats.store_jobs -= 1;
+        stats.class_mut(rec.class).stores -= 1;
+        None
     }
 
     /// Reloads an offloaded state slot's bytes back into its tensor and
     /// returns the simulated time the load completes. The caller decides
     /// what to do with that time — the unoverlapped optimizer stalls on
     /// it, the overlap engine compares it against the next forward's
-    /// arrival. The ready time is clamped to the slot's own store drain,
-    /// so state is never read before its store landed. A slot already
+    /// arrival. A slot still staged seals its segment first; the ready
+    /// time is clamped to the end of the job that carried the bytes, so
+    /// state is never read before its store landed. A slot already
     /// resident returns `now`; an unknown slot returns `None`.
     pub fn load_state(&self, slot: StateSlot) -> Option<SimTime> {
-        let now = self.io.clock().now();
-        let mut slots = self.state_slots.lock();
-        let rec = slots.get_mut(&slot.0)?;
-        if !rec.offloaded {
-            return Some(now);
+        let id = slot.0;
+        let mut inner = self.inner.lock();
+        let rec = inner
+            .records
+            .get(&id)
+            .filter(|r| r.lifetime == Lifetime::Persistent)?;
+        if let RecState::Staged = rec.state {
+            let sealed = self.coalescer.lock().seal(rec.tier, rec.class);
+            if let Some(seg) = sealed {
+                self.seal_segment(&mut inner, seg);
+            }
+        }
+        let rec = inner.records.get_mut(&id)?;
+        if !matches!(rec.state, RecState::Offloaded) {
+            return Some(self.io.clock().now());
         }
         let link = self.tiers.link(rec.tier);
-        let ready = self.io.submit_load_from(link, rec.bytes).max(rec.avail);
-        let (key, tier, bytes) = (rec.key.clone(), rec.tier, rec.bytes);
-        let tensor = rec.tensor.clone();
-        rec.offloaded = false;
-        let class = rec.class;
-        drop(slots);
-        self.read_back(&key, tier, bytes, &tensor, ready);
+        let ready = self.io.submit_load_from(link, rec.bytes).max(rec.landed);
+        self.restore_record(rec, ready);
+        rec.state = RecState::Resident;
+        let (bytes, class) = (rec.bytes, rec.class);
+        drop(inner);
         let mut stats = self.stats.lock();
         stats.reloaded_bytes += bytes;
         let c = stats.class_mut(class);
@@ -1211,20 +1108,39 @@ impl TensorCache {
     }
 
     /// The simulated time `slot`'s store drains (its earliest legal
-    /// read), or `None` for unknown or already-resident slots.
+    /// read), or `None` for unknown, resident or still-staged slots (a
+    /// staged slot has no job until its segment seals).
     pub fn state_available_at(&self, slot: StateSlot) -> Option<SimTime> {
-        let slots = self.state_slots.lock();
-        let rec = slots.get(&slot.0)?;
-        rec.offloaded.then_some(rec.avail)
+        let inner = self.inner.lock();
+        let rec = inner
+            .records
+            .get(&slot.0)
+            .filter(|r| r.lifetime == Lifetime::Persistent)?;
+        matches!(rec.state, RecState::Offloaded).then_some(rec.landed)
     }
 
     /// Drops a state slot, returning its tier reservation. Bytes still
     /// offloaded are abandoned on the tier (the optimizer overwrites
     /// state wholesale each step; there is nothing to read back).
     pub fn release_state(&self, slot: StateSlot) {
-        let Some(rec) = self.state_slots.lock().remove(&slot.0) else {
+        let mut inner = self.inner.lock();
+        let Some(rec) = inner
+            .records
+            .get(&slot.0)
+            .filter(|r| r.lifetime == Lifetime::Persistent)
+        else {
             return;
         };
+        if let RecState::Staged = rec.state {
+            // Released before its segment sealed: the bytes never offload.
+            self.evict_staged(&mut inner, slot.0, false);
+        }
+        let Some(rec) = inner.records.remove(&slot.0) else {
+            return;
+        };
+        drop(inner);
+        // Dropping the cache's handle frees a resident tensor's memory if
+        // it held the last reference.
         self.tiers.remove(rec.tier, &rec.key, rec.bytes);
     }
 
@@ -1241,6 +1157,228 @@ impl TensorCache {
         };
         let path = &inner.scopes[seq].path;
         self.plan.lock().keeps(path)
+    }
+
+    /// Placement's keep decision for `query`, counted in the stats when
+    /// its reason asks to be.
+    fn placement_keeps(&self, query: &PlacementQuery) -> bool {
+        let Placement::Keep(reason) = self.placement.decide(query) else {
+            return false;
+        };
+        if reason.counts_in_stats() {
+            self.stats.lock().kept += 1;
+        }
+        true
+    }
+
+    /// A full tier stack refused admission: the tensor stays resident,
+    /// numerics untouched.
+    fn refuse_full(&self, bytes: u64) {
+        let mut stats = self.stats.lock();
+        stats.kept += 1;
+        stats.placement_kept_bytes += bytes;
+        drop(stats);
+        self.trace().instant_bytes(
+            TraceCategory::Tier,
+            "tier.full",
+            self.io.clock().now(),
+            bytes,
+        );
+    }
+
+    /// The one store entry point every class shares: admits `tensor`
+    /// (its bytes already reserved at `placement`) as a new record. The
+    /// bytes enter the pinned staging arena; with coalescing enabled the
+    /// record is *staged* into the open segment of its (tier, class) —
+    /// the store job is submitted when the segment seals, so store jobs
+    /// count segments, not tensors — otherwise a per-tensor store job is
+    /// submitted now (Figure 4 ①). The memory release is deferred until
+    /// the store commits — at once for persistent records. Returns the
+    /// record id and the per-tensor job's link occupancy (zero when
+    /// staged: the segment attributes it at seal time).
+    fn admit(
+        &self,
+        inner: &mut Inner,
+        tensor: &Tensor,
+        key: TensorKey,
+        placement: TierPlacement,
+        class: OffloadClass,
+        scopes: HashSet<u64>,
+    ) -> (RecordId, f64) {
+        let bytes = tensor.bytes();
+        let lifetime = Lifetime::of(class);
+        let slab = self.arena.acquire(bytes);
+        let slab_acquired = slab.is_some();
+        let staged = self.config.coalesce_segment_bytes > 0
+            && (lifetime == Lifetime::Persistent || !inner.phase.in_backward());
+        let (state, store_secs) = if staged {
+            (RecState::Staged, 0.0)
+        } else {
+            let job = self
+                .io
+                .submit_store_to(self.tiers.link(placement.tier), bytes);
+            let (start, end) = self.io.store_span(job);
+            (RecState::Storing { job }, end.since(start))
+        };
+        let id = inner.next_id;
+        inner.next_id += 1;
+        inner.records.insert(
+            id,
+            Record {
+                key,
+                tensor: tensor.clone(),
+                bytes,
+                class,
+                lifetime,
+                state,
+                scopes,
+                tier: placement.tier,
+                seg: None,
+                slab,
+                landed: SimTime::ZERO,
+            },
+        );
+        let mut stats = self.stats.lock();
+        stats.offloaded_bytes += bytes;
+        if placement.spilled {
+            stats.spilled_bytes += bytes;
+        }
+        let c = stats.class_mut(class);
+        c.offloaded_bytes += bytes;
+        if !staged {
+            c.stores += 1;
+            stats.store_jobs += 1;
+        }
+        drop(stats);
+        let trace = self.trace();
+        let now = self.io.clock().now();
+        if slab_acquired {
+            trace.instant_bytes(TraceCategory::Arena, "arena.acquire", now, bytes);
+        }
+        trace.instant_bytes_tagged(
+            TraceCategory::Store,
+            "store.enqueue",
+            now,
+            bytes,
+            class_tag(class),
+        );
+        if placement.spilled {
+            trace.instant_with(
+                TraceCategory::Tier,
+                "tier.spill",
+                now,
+                vec![
+                    ("bytes", ArgValue::U64(bytes)),
+                    ("tier", ArgValue::from(self.tiers.name(placement.tier))),
+                ],
+            );
+        }
+        if staged {
+            let sealed = self
+                .coalescer
+                .lock()
+                .stage(placement.tier, id, bytes, class);
+            if let Some(seg) = sealed {
+                self.seal_segment(inner, seg);
+            }
+        } else if lifetime == Lifetime::Persistent {
+            self.commit(inner, id);
+        }
+        (id, store_secs)
+    }
+
+    /// Commits record `id`'s in-flight store through whichever job
+    /// carries it: its sealed segment (committing every sibling with it)
+    /// or its own per-tensor job. A no-op unless the record is storing.
+    fn commit(&self, inner: &mut Inner, id: RecordId) {
+        let Some(rec) = inner.records.get_mut(&id) else {
+            return;
+        };
+        match (rec.state, rec.seg) {
+            (RecState::Storing { .. }, Some(seg)) => self.commit_segment(inner, seg),
+            (RecState::Storing { job }, None) => self.commit_store(rec, job),
+            _ => {}
+        }
+    }
+
+    /// Evicts staged record `id` from its open segment. Its bytes never
+    /// queued a job, so the admission-time enqueue is balanced by a
+    /// cancel and the trace byte identity holds; `forwarded` marks a
+    /// consumer that took the tensor from memory — forwarding that never
+    /// queued a job. Returns the resident tensor.
+    fn evict_staged(&self, inner: &mut Inner, id: RecordId, forwarded: bool) -> Option<Tensor> {
+        let rec = inner.records.get_mut(&id)?;
+        rec.state = RecState::Resident;
+        let (tier, bytes, class, slab) = (rec.tier, rec.bytes, rec.class, rec.slab.take());
+        let tensor = rec.tensor.clone();
+        self.coalescer.lock().evict(tier, id);
+        self.retire_slab(slab);
+        let mut stats = self.stats.lock();
+        if forwarded {
+            stats.forwarded += 1;
+            stats.forwarded_bytes += bytes;
+        }
+        stats.cancelled_stores += 1;
+        stats.cancelled_bytes += bytes;
+        stats.offloaded_bytes -= bytes;
+        stats.coalesce_evictions += 1;
+        stats.class_mut(class).offloaded_bytes -= bytes;
+        drop(stats);
+        let now = self.io.clock().now();
+        let trace = self.trace();
+        if forwarded {
+            trace.instant_bytes(TraceCategory::Forwarding, "forward", now, bytes);
+        }
+        trace.instant_bytes_tagged(
+            TraceCategory::Store,
+            "store.cancel",
+            now,
+            bytes,
+            class_tag(class),
+        );
+        trace.instant_bytes(TraceCategory::Coalesce, "coalesce.evict", now, bytes);
+        Some(tensor)
+    }
+
+    /// Data forwarding (Section 3.3.2): record `id`, whose store `job`
+    /// is still in flight, is consumed from memory and skips the reload.
+    /// A per-tensor store that has not started is cancelled (adaptive
+    /// feature 1); a segment job carries the member's siblings on, and
+    /// commit skips this member. Returns the resident tensor.
+    fn forward(&self, inner: &mut Inner, id: RecordId, job: JobId, now: SimTime) -> Option<Tensor> {
+        let rec = inner.records.get_mut(&id)?;
+        rec.state = RecState::Resident;
+        let (bytes, class, seg, slab) = (rec.bytes, rec.class, rec.seg, rec.slab.take());
+        let tensor = rec.tensor.clone();
+        self.retire_slab(slab);
+        let cancelled = seg.is_none()
+            && self.config.cancel_forwarded_stores
+            && self.io.try_cancel_store(job, now);
+        let mut stats = self.stats.lock();
+        stats.forwarded += 1;
+        stats.forwarded_bytes += bytes;
+        if cancelled {
+            stats.cancelled_stores += 1;
+            stats.cancelled_bytes += bytes;
+            stats.offloaded_bytes -= bytes;
+            stats.store_jobs -= 1;
+            let c = stats.class_mut(class);
+            c.offloaded_bytes -= bytes;
+            c.stores -= 1;
+        }
+        drop(stats);
+        let trace = self.trace();
+        trace.instant_bytes(TraceCategory::Forwarding, "forward", now, bytes);
+        if cancelled {
+            trace.instant_bytes_tagged(
+                TraceCategory::Store,
+                "store.cancel",
+                now,
+                bytes,
+                class_tag(class),
+            );
+        }
+        Some(tensor)
     }
 
     /// Releases a staging slab back to the arena, emitting the
@@ -1273,11 +1411,13 @@ impl TensorCache {
 
     /// Submits one coalesced store job for a sealed segment and flips
     /// its members `Staged` → `Storing`. One segment is one job on the
-    /// tier's link ([`OffloadStats::store_jobs`] counts segments, not
-    /// tensors) and will be one device write operation at commit; the
-    /// members' byte/class accounting stayed per-record at pack time, so
-    /// the trace identity `Σstore.enqueue − Σstore.cancel − recoveries
-    /// == offloaded_bytes` holds unchanged through the coalesced path.
+    /// tier's link ([`OffloadStats::store_jobs`] and the segment's class
+    /// lane count segments, not tensors) and will be one device write
+    /// operation at commit — at once for a persistent class, which has
+    /// no forwarding window. The members' byte accounting stayed
+    /// per-record at admission, so the trace identity `Σstore.enqueue −
+    /// Σstore.cancel − recoveries == offloaded_bytes` holds unchanged
+    /// through the coalesced path.
     fn seal_segment(&self, inner: &mut Inner, seg: crate::coalesce::SealedSegment) {
         let total = seg.total_bytes();
         if total == 0 {
@@ -1305,11 +1445,13 @@ impl TensorCache {
             }
         }
         let entries = seg.entries.len() as u64;
+        let (id, class) = (seg.id, seg.class);
         inner.segments.insert(
             seg.id,
             SegmentState {
                 job,
                 tier: seg.tier,
+                class: seg.class,
                 entries: seg.entries,
             },
         );
@@ -1317,7 +1459,7 @@ impl TensorCache {
         stats.store_jobs += 1;
         stats.coalesce_segments += 1;
         stats.coalesced_bytes += total;
-        stats.class_mut(OffloadClass::Activation).stores += 1;
+        stats.class_mut(class).stores += 1;
         drop(stats);
         self.trace().instant_with(
             TraceCategory::Coalesce,
@@ -1330,6 +1472,9 @@ impl TensorCache {
                 ("entries", ArgValue::U64(entries)),
             ],
         );
+        if Lifetime::of(class) == Lifetime::Persistent {
+            self.commit_segment(inner, id);
+        }
     }
 
     /// Commits a sealed segment: one batched device write for every
@@ -1354,9 +1499,9 @@ impl TensorCache {
             if !matches!(rec.state, RecState::Storing { job } if job == seg.job) {
                 continue;
             }
-            if rec.tensor.storage().strong_count() > 1 {
+            if rec.lifetime == Lifetime::Step && rec.tensor.storage().strong_count() > 1 {
                 // Live references outside the cache: like the per-tensor
-                // commit, the tensor simply stays resident.
+                // commit, the activation simply stays resident.
                 rec.state = RecState::Resident;
                 let slab = rec.slab.take();
                 self.retire_slab(slab);
@@ -1387,6 +1532,7 @@ impl TensorCache {
                         };
                         self.mem.with_time(end, || rec.tensor.storage().release());
                         rec.state = RecState::Offloaded;
+                        rec.landed = end;
                         rec.slab.take()
                     };
                     self.retire_slab(slab);
@@ -1414,8 +1560,6 @@ impl TensorCache {
         err: io::Error,
     ) {
         self.stats.lock().store_failures += 1;
-        let now = self.io.clock().now();
-        let trace = self.trace();
         let mut fell_back = 0u64;
         let mut kept = 0u64;
         let mut fallback_dest: Option<TierId> = None;
@@ -1440,6 +1584,7 @@ impl TensorCache {
                     Some(dest) => {
                         self.mem.with_time(end, || rec.tensor.storage().release());
                         rec.state = RecState::Offloaded;
+                        rec.landed = end;
                         rec.tier = dest;
                         fell_back += bytes;
                         fallback_dest = Some(dest);
@@ -1456,52 +1601,30 @@ impl TensorCache {
         if kept > 0 && fell_back == 0 {
             // Nothing from this segment is in flight any more; return
             // the dead job if it still sits in the queue.
-            let _ = self.io.try_cancel_store(seg.job, now);
+            let _ = self.io.try_cancel_store(seg.job, self.io.clock().now());
         }
-        let mut stats = self.stats.lock();
-        stats.offloaded_bytes -= fell_back + kept;
-        stats.fallback_bytes += fell_back;
-        stats.kept_resident_bytes += kept;
-        stats.class_mut(OffloadClass::Activation).offloaded_bytes -= fell_back + kept;
-        drop(stats);
-        if let Some(dest) = fallback_dest {
-            trace.instant_with(
-                TraceCategory::Recovery,
-                "recovery.fallback",
-                now,
-                vec![
-                    ("bytes", ArgValue::U64(fell_back)),
-                    ("target", ArgValue::from(self.tiers.name(dest))),
-                ],
-            );
-        }
-        if kept > 0 {
-            trace.instant_bytes(TraceCategory::Recovery, "recovery.keep_resident", now, kept);
-        }
-        if self.config.recovery == RecoveryPolicy::FailStep {
-            trace.instant(TraceCategory::Recovery, "recovery.fail_step", now);
-            let mut pending = self.pending_error.lock();
-            if pending.is_none() {
-                if let Some((key, _, _, _)) = members.first() {
-                    *pending = Some(OffloadError::Store {
-                        key: key.clone(),
-                        bytes: kept,
-                        target: self.tiers.name(seg.tier),
-                        source: err,
-                    });
-                }
-            }
-        }
+        let Some((key, _, _, _)) = members.first() else {
+            return;
+        };
+        let failed = OffloadError::Store {
+            key: key.clone(),
+            bytes: kept,
+            target: self.tiers.name(seg.tier),
+            source: err,
+        };
+        self.book_recovery(seg.class, fell_back, fallback_dest, kept, failed);
     }
 
     /// Commits a completed store: memory freed at the store's end time.
     ///
-    /// Mirrors Python garbage collection (paper Section 3.2): the memory
-    /// is reclaimable only once the cache holds the *last* reference to
-    /// the storage. If model code still holds the tensor (e.g. a step
-    /// input reused across steps), the record simply stays resident.
+    /// Mirrors Python garbage collection (paper Section 3.2): an
+    /// activation's memory is reclaimable only once the cache holds the
+    /// *last* reference to the storage. If model code still holds the
+    /// tensor (e.g. a step input reused across steps), the record simply
+    /// stays resident. Persistent state is released regardless: the
+    /// optimizer's handle is restored by the reload.
     fn commit_store(&self, rec: &mut Record, job: JobId) {
-        if rec.tensor.storage().strong_count() > 1 {
+        if rec.lifetime == Lifetime::Step && rec.tensor.storage().strong_count() > 1 {
             rec.state = RecState::Resident;
             let slab = rec.slab.take();
             self.retire_slab(slab);
@@ -1518,6 +1641,7 @@ impl TensorCache {
             Ok(()) => {
                 self.mem.with_time(end, || rec.tensor.storage().release());
                 rec.state = RecState::Offloaded;
+                rec.landed = end;
                 let (start, end) = self.io.store_span(job);
                 self.trace()
                     .span_bytes(TraceCategory::Store, "store", start, end, rec.bytes);
@@ -1549,21 +1673,10 @@ impl TensorCache {
                 let end = self.io.store_end(job);
                 self.mem.with_time(end, || rec.tensor.storage().release());
                 rec.state = RecState::Offloaded;
+                rec.landed = end;
+                let failed = self.store_error(rec, err);
                 rec.tier = dest;
-                let mut stats = self.stats.lock();
-                stats.offloaded_bytes -= rec.bytes;
-                stats.fallback_bytes += rec.bytes;
-                stats.class_mut(OffloadClass::Activation).offloaded_bytes -= rec.bytes;
-                drop(stats);
-                self.trace().instant_with(
-                    TraceCategory::Recovery,
-                    "recovery.fallback",
-                    self.io.clock().now(),
-                    vec![
-                        ("bytes", ArgValue::U64(rec.bytes)),
-                        ("target", ArgValue::from(self.tiers.name(dest))),
-                    ],
-                );
+                self.book_recovery(rec.class, rec.bytes, Some(dest), 0, failed);
                 return;
             }
         }
@@ -1572,31 +1685,64 @@ impl TensorCache {
         // in the queue, reusing the forwarding machinery.
         rec.state = RecState::Resident;
         let _ = self.io.try_cancel_store(job, self.io.clock().now());
+        let failed = self.store_error(rec, err);
+        self.book_recovery(rec.class, 0, None, rec.bytes, failed);
+    }
+
+    /// The step error a failed write of `rec` surfaces under
+    /// [`RecoveryPolicy::FailStep`].
+    fn store_error(&self, rec: &Record, source: io::Error) -> OffloadError {
+        OffloadError::Store {
+            key: rec.key.clone(),
+            bytes: rec.bytes,
+            target: self.tiers.name(rec.tier),
+            source,
+        }
+    }
+
+    /// The recovery epilogue both store paths share: moves `fell_back`
+    /// bytes (demoted to `dest`) and `kept` bytes (left resident) of
+    /// `class` out of the primary account and traces them; under
+    /// [`RecoveryPolicy::FailStep`] `failed` becomes the step's error.
+    fn book_recovery(
+        &self,
+        class: OffloadClass,
+        fell_back: u64,
+        dest: Option<TierId>,
+        kept: u64,
+        failed: OffloadError,
+    ) {
         let mut stats = self.stats.lock();
-        stats.offloaded_bytes -= rec.bytes;
-        stats.kept_resident_bytes += rec.bytes;
-        stats.class_mut(OffloadClass::Activation).offloaded_bytes -= rec.bytes;
+        stats.offloaded_bytes -= fell_back + kept;
+        stats.fallback_bytes += fell_back;
+        stats.kept_resident_bytes += kept;
+        stats.class_mut(class).offloaded_bytes -= fell_back + kept;
         drop(stats);
-        self.trace().instant_bytes(
-            TraceCategory::Recovery,
-            "recovery.keep_resident",
-            self.io.clock().now(),
-            rec.bytes,
-        );
-        if self.config.recovery == RecoveryPolicy::FailStep {
-            self.trace().instant(
+        let now = self.io.clock().now();
+        let trace = self.trace();
+        if let Some(dest) = dest {
+            let mut args = vec![
+                ("bytes", ArgValue::U64(fell_back)),
+                ("target", ArgValue::from(self.tiers.name(dest))),
+            ];
+            args.extend(class_tag(class).map(|(k, v)| (k, ArgValue::from(v))));
+            trace.instant_with(TraceCategory::Recovery, "recovery.fallback", now, args);
+        }
+        if kept > 0 {
+            let tag = class_tag(class);
+            trace.instant_bytes_tagged(
                 TraceCategory::Recovery,
-                "recovery.fail_step",
-                self.io.clock().now(),
+                "recovery.keep_resident",
+                now,
+                kept,
+                tag,
             );
+        }
+        if self.config.recovery == RecoveryPolicy::FailStep {
+            trace.instant(TraceCategory::Recovery, "recovery.fail_step", now);
             let mut pending = self.pending_error.lock();
             if pending.is_none() {
-                *pending = Some(OffloadError::Store {
-                    key: rec.key.clone(),
-                    bytes: rec.bytes,
-                    target: self.tiers.name(rec.tier),
-                    source: err,
-                });
+                *pending = Some(failed);
             }
         }
     }
@@ -1694,117 +1840,28 @@ impl TensorCache {
         let now = self.io.clock().now();
         let mut inner = self.inner.lock();
         for id in ids {
-            let peek = match inner.records.get(id) {
-                Some(r) => (r.state, r.seg),
-                None => continue,
-            };
-            match peek {
-                (RecState::Staged, _) => {
+            match inner.records.get(id).map(|r| r.state) {
+                Some(RecState::Staged) => {
                     // Prefetch reached a record whose bytes are still
-                    // staged: evict it from the open segment — the
-                    // tensor never left memory, forwarding that never
-                    // queued a job. The pack-time enqueue is balanced by
-                    // a cancel so the trace byte identity holds.
-                    let (tier, bytes, slab) = {
-                        let Some(rec) = inner.records.get_mut(id) else {
-                            continue;
-                        };
-                        rec.state = RecState::Resident;
-                        (rec.tier, rec.bytes, rec.slab.take())
-                    };
-                    self.coalescer.lock().evict(tier, *id);
-                    self.retire_slab(slab);
-                    let mut stats = self.stats.lock();
-                    stats.forwarded += 1;
-                    stats.forwarded_bytes += bytes;
-                    stats.cancelled_stores += 1;
-                    stats.cancelled_bytes += bytes;
-                    stats.offloaded_bytes -= bytes;
-                    stats.coalesce_evictions += 1;
-                    stats.class_mut(OffloadClass::Activation).offloaded_bytes -= bytes;
-                    drop(stats);
-                    let trace = self.trace();
-                    trace.instant_bytes(TraceCategory::Forwarding, "forward", now, bytes);
-                    trace.instant_bytes(TraceCategory::Store, "store.cancel", now, bytes);
-                    trace.instant_bytes(TraceCategory::Coalesce, "coalesce.evict", now, bytes);
+                    // staged: the tensor never left memory.
+                    self.evict_staged(&mut inner, *id, true);
                     continue;
                 }
-                (RecState::Storing { job }, seg) => {
-                    let end = self.io.store_end(job);
-                    if now >= end {
-                        match seg {
-                            // ssdtrain-lint: allow(no-alloc-hot-loop): committing serialises the payload being offloaded — the data path, not bookkeeping
-                            Some(sid) => self.commit_segment(&mut inner, sid),
-                            None => {
-                                let Some(rec) = inner.records.get_mut(id) else {
-                                    continue;
-                                };
-                                // ssdtrain-lint: allow(no-alloc-hot-loop): committing serialises the payload being offloaded — the data path, not bookkeeping
-                                self.commit_store(rec, job);
-                            }
-                        }
-                        // Immediately reload below.
-                    } else if seg.is_some() {
-                        // Sealed member inside the forwarding window:
-                        // forward *without* cancelling — the segment job
-                        // carries its siblings; commit skips this member.
-                        let (bytes, slab) = {
-                            let Some(rec) = inner.records.get_mut(id) else {
-                                continue;
-                            };
-                            rec.state = RecState::Resident;
-                            (rec.bytes, rec.slab.take())
-                        };
-                        self.retire_slab(slab);
-                        let mut stats = self.stats.lock();
-                        stats.forwarded += 1;
-                        stats.forwarded_bytes += bytes;
-                        drop(stats);
-                        self.trace().instant_bytes(
-                            TraceCategory::Forwarding,
-                            "forward",
-                            now,
-                            bytes,
-                        );
-                        continue;
-                    } else {
+                Some(RecState::Storing { job }) => {
+                    if now < self.io.store_end(job) {
                         // Still being stored: data forwarding at prefetch
-                        // time (Section 3.3.2) — keep the in-memory
-                        // reference so the store's completion never frees
-                        // it, and cancel the job if it has not started.
-                        let (bytes, slab) = {
-                            let Some(rec) = inner.records.get_mut(id) else {
-                                continue;
-                            };
-                            rec.state = RecState::Resident;
-                            (rec.bytes, rec.slab.take())
-                        };
-                        self.retire_slab(slab);
-                        let cancelled = self.config.cancel_forwarded_stores
-                            && self.io.try_cancel_store(job, now);
-                        let mut stats = self.stats.lock();
-                        stats.forwarded += 1;
-                        stats.forwarded_bytes += bytes;
-                        if cancelled {
-                            stats.cancelled_stores += 1;
-                            stats.cancelled_bytes += bytes;
-                            stats.offloaded_bytes -= bytes;
-                            stats.store_jobs -= 1;
-                            let c = stats.class_mut(OffloadClass::Activation);
-                            c.offloaded_bytes -= bytes;
-                            c.stores -= 1;
-                        }
-                        drop(stats);
-                        let trace = self.trace();
-                        trace.instant_bytes(TraceCategory::Forwarding, "forward", now, bytes);
-                        if cancelled {
-                            trace.instant_bytes(TraceCategory::Store, "store.cancel", now, bytes);
-                        }
+                        // time (Section 3.3.2) keeps the in-memory
+                        // reference so the store's completion never
+                        // frees it.
+                        self.forward(&mut inner, *id, job, now);
                         continue;
                     }
+                    // ssdtrain-lint: allow(no-alloc-hot-loop): committing serialises the payload being offloaded — the data path, not bookkeeping
+                    self.commit(&mut inner, *id);
+                    // Immediately reload below.
                 }
-                (RecState::Resident | RecState::Loading { .. }, _) => continue,
-                (RecState::Offloaded, _) => {}
+                Some(RecState::Offloaded) => {}
+                _ => continue,
             }
             let Some(rec) = inner.records.get_mut(id) else {
                 continue;
@@ -1845,37 +1902,14 @@ impl TensorCache {
         let mut inner = self.inner.lock();
         // Coalesced pre-handling, while the record is still in the map
         // (segment commit needs every member resolvable by id).
-        let peek = match inner.records.get(&id) {
-            Some(r) => (r.state, r.seg, r.tier),
+        match inner.records.get(&id).map(|r| (r.state, r.seg)) {
             None => return,
-        };
-        match peek {
-            (RecState::Staged, _, tier) => {
+            Some((RecState::Staged, _)) => {
                 // Released before its segment filled: the bytes never
-                // offload. Cancel the pack-time enqueue (no forwarding —
-                // nothing consumed the tensor).
-                self.coalescer.lock().evict(tier, id);
-                let (bytes, slab) = {
-                    let Some(rec) = inner.records.get_mut(&id) else {
-                        return;
-                    };
-                    rec.state = RecState::Resident;
-                    (rec.bytes, rec.slab.take())
-                };
-                self.retire_slab(slab);
-                let mut stats = self.stats.lock();
-                stats.cancelled_stores += 1;
-                stats.cancelled_bytes += bytes;
-                stats.offloaded_bytes -= bytes;
-                stats.coalesce_evictions += 1;
-                stats.class_mut(OffloadClass::Activation).offloaded_bytes -= bytes;
-                drop(stats);
-                let now = self.io.clock().now();
-                let trace = self.trace();
-                trace.instant_bytes(TraceCategory::Store, "store.cancel", now, bytes);
-                trace.instant_bytes(TraceCategory::Coalesce, "coalesce.evict", now, bytes);
+                // offload (no forwarding — nothing consumed the tensor).
+                self.evict_staged(&mut inner, id, false);
             }
-            (RecState::Storing { .. }, Some(sid), _) => {
+            Some((RecState::Storing { .. }, Some(sid))) => {
                 // The paper's "excessive offloading" effect on the
                 // coalesced path: committing the whole segment settles
                 // this member (and its siblings) before release.
@@ -1989,10 +2023,7 @@ impl SavedTensorHooks for TensorCache {
             in_backward: inner.phase.in_backward(),
             module_kept: self.innermost_kept(&inner),
         };
-        if let Placement::Keep(reason) = self.placement.decide(&query) {
-            if reason.counts_in_stats() {
-                self.stats.lock().kept += 1;
-            }
+        if self.placement_keeps(&query) {
             return Packed::Tensor(tensor.clone());
         }
 
@@ -2048,43 +2079,20 @@ impl SavedTensorHooks for TensorCache {
         };
         let Some(placement) = placement else {
             drop(inner);
-            let mut stats = self.stats.lock();
-            stats.kept += 1;
-            stats.placement_kept_bytes += bytes;
-            drop(stats);
-            self.trace().instant_bytes(
-                TraceCategory::Tier,
-                "tier.full",
-                self.io.clock().now(),
-                bytes,
-            );
+            self.refuse_full(bytes);
             return Packed::Tensor(tensor.clone());
         };
-
-        // New record. The bytes enter the pinned staging arena either
-        // way; with coalescing enabled the record is *staged* into its
-        // tier's open segment (the store job is submitted when the
-        // segment seals — store jobs then count segments, not tensors),
-        // otherwise a per-tensor store job is submitted immediately
-        // (Figure 4 ①). The memory release is deferred until the store
-        // commits.
-        let slab = self.arena.acquire(bytes);
-        let slab_acquired = slab.is_some();
-        let staged = self.config.coalesce_segment_bytes > 0 && !inner.phase.in_backward();
-        let (state, store_secs) = if staged {
-            (RecState::Staged, 0.0)
-        } else {
-            let job = self
-                .io
-                .submit_store_to(self.tiers.link(placement.tier), bytes);
-            let (start, end) = self.io.store_span(job);
-            (RecState::Storing { job }, end.since(start))
-        };
-        let id = inner.next_id;
-        inner.next_id += 1;
-        let mut scopes = HashSet::new();
+        let scopes: HashSet<u64> = cur_scope.into_iter().collect();
+        let (id, store_secs) = self.admit(
+            &mut inner,
+            tensor,
+            key.clone(),
+            placement,
+            OffloadClass::Activation,
+            scopes,
+        );
+        inner.by_key.insert(key, id);
         if let Some(seq) = cur_scope {
-            scopes.insert(seq);
             if let Some(meta) = inner.scopes.get_mut(&seq) {
                 meta.records.push(id);
                 meta.offload_bytes += bytes;
@@ -2092,61 +2100,6 @@ impl SavedTensorHooks for TensorCache {
                 // segment seals.
                 meta.store_secs += store_secs;
             }
-        }
-        inner.records.insert(
-            id,
-            Record {
-                key: key.clone(),
-                tensor: tensor.clone(),
-                bytes,
-                state,
-                scopes,
-                tier: placement.tier,
-                seg: None,
-                slab,
-            },
-        );
-        inner.by_key.insert(key, id);
-        if staged {
-            let sealed =
-                self.coalescer
-                    .lock()
-                    .stage(placement.tier, id, bytes, OffloadClass::Activation);
-            if let Some(seg) = sealed {
-                self.seal_segment(&mut inner, seg);
-            }
-        }
-        drop(inner);
-        let mut stats = self.stats.lock();
-        stats.offloaded_bytes += bytes;
-        if !staged {
-            stats.store_jobs += 1;
-        }
-        if placement.spilled {
-            stats.spilled_bytes += bytes;
-        }
-        let c = stats.class_mut(OffloadClass::Activation);
-        c.offloaded_bytes += bytes;
-        if !staged {
-            c.stores += 1;
-        }
-        drop(stats);
-        let trace = self.trace();
-        let now = self.io.clock().now();
-        if slab_acquired {
-            trace.instant_bytes(TraceCategory::Arena, "arena.acquire", now, bytes);
-        }
-        trace.instant_bytes(TraceCategory::Store, "store.enqueue", now, bytes);
-        if placement.spilled {
-            trace.instant_with(
-                TraceCategory::Tier,
-                "tier.spill",
-                now,
-                vec![
-                    ("bytes", ArgValue::U64(bytes)),
-                    ("tier", ArgValue::from(self.tiers.name(placement.tier))),
-                ],
-            );
         }
         Packed::Opaque(id)
     }
@@ -2159,89 +2112,27 @@ impl SavedTensorHooks for TensorCache {
         };
         let now = self.io.clock().now();
         let mut inner = self.inner.lock();
-        // Coalesced-path pre-handling: staged members and members of
-        // sealed segments need whole-segment treatment before the
-        // per-record state machine below runs.
-        let hit = match inner.records.get_mut(&id) {
-            Some(rec) => match rec.state {
-                RecState::Staged => {
-                    rec.state = RecState::Resident;
-                    Some(CoalescedHit::Evicted {
-                        tier: rec.tier,
-                        bytes: rec.bytes,
-                        slab: rec.slab.take(),
-                        tensor: rec.tensor.clone(),
-                    })
-                }
-                RecState::Storing { job } => match rec.seg {
-                    Some(seg) => {
-                        let end = self.io.store_end(job);
-                        if self.config.forwarding && now < end {
-                            rec.state = RecState::Resident;
-                            Some(CoalescedHit::Forwarded {
-                                bytes: rec.bytes,
-                                slab: rec.slab.take(),
-                                tensor: rec.tensor.clone(),
-                            })
-                        } else {
-                            Some(CoalescedHit::Commit { seg, end })
-                        }
-                    }
-                    None => None,
-                },
-                _ => None,
-            },
-            None => None,
-        };
-        match hit {
-            Some(CoalescedHit::Evicted {
-                tier,
-                bytes,
-                slab,
-                tensor,
-            }) => {
+        // Bytes that have not landed are settled first: a staged record
+        // is evicted, a storing one forwarded or committed.
+        match inner.records.get(&id).map(|r| r.state) {
+            Some(RecState::Staged) => {
                 // The bytes never queued a job, so eviction is free
-                // forwarding regardless of `config.forwarding` — but the
-                // pack-time enqueue must be balanced by a cancel so the
-                // trace byte identity holds.
-                self.coalescer.lock().evict(tier, id);
-                drop(inner);
-                self.retire_slab(slab);
-                let mut stats = self.stats.lock();
-                stats.forwarded += 1;
-                stats.forwarded_bytes += bytes;
-                stats.cancelled_stores += 1;
-                stats.cancelled_bytes += bytes;
-                stats.offloaded_bytes -= bytes;
-                stats.coalesce_evictions += 1;
-                stats.class_mut(OffloadClass::Activation).offloaded_bytes -= bytes;
-                drop(stats);
-                let trace = self.trace();
-                trace.instant_bytes(TraceCategory::Forwarding, "forward", now, bytes);
-                trace.instant_bytes(TraceCategory::Store, "store.cancel", now, bytes);
-                trace.instant_bytes(TraceCategory::Coalesce, "coalesce.evict", now, bytes);
-                return tensor;
+                // forwarding regardless of `config.forwarding`.
+                if let Some(t) = self.evict_staged(&mut inner, id, true) {
+                    return t;
+                }
             }
-            Some(CoalescedHit::Forwarded {
-                bytes,
-                slab,
-                tensor,
-            }) => {
-                drop(inner);
-                self.retire_slab(slab);
-                let mut stats = self.stats.lock();
-                stats.forwarded += 1;
-                stats.forwarded_bytes += bytes;
-                drop(stats);
-                self.trace()
-                    .instant_bytes(TraceCategory::Forwarding, "forward", now, bytes);
-                return tensor;
-            }
-            Some(CoalescedHit::Commit { seg, end }) => {
+            Some(RecState::Storing { job }) => {
+                let end = self.io.store_end(job);
+                if self.config.forwarding && now < end {
+                    if let Some(t) = self.forward(&mut inner, id, job, now) {
+                        return t;
+                    }
+                }
                 if now < end {
                     // Forwarding disabled: the load cannot begin until
-                    // the segment's store finishes.
-                    // ssdtrain-lint: allow(lock-discipline): the segment must commit under the same guard right after the drain; the simulation is single-threaded, so the hold cannot block a peer
+                    // the store finishes.
+                    // ssdtrain-lint: allow(lock-discipline): the record must commit under the same guard right after the drain; the simulation is single-threaded, so the hold cannot block a peer
                     let stall = self.io.clock().advance_to(end);
                     self.stats.lock().stall_secs += stall;
                     if stall > 0.0 {
@@ -2253,113 +2144,20 @@ impl SavedTensorHooks for TensorCache {
                         );
                     }
                 }
-                self.commit_segment(&mut inner, seg);
-                // Fall through: the member is now Offloaded (reload
-                // below) or Resident (recovery kept it).
+                // Offloaded now (reload below) or resident (commit found
+                // live references, or recovery kept it).
+                self.commit(&mut inner, id);
             }
-            None => {}
+            _ => {}
         }
         let rec = inner
             .records
             .get_mut(&id)
             .unwrap_or_else(|| panic!("unpack of unknown record {id}")); // ssdtrain-lint: allow(panic-free-hot-path): unpack of an unregistered id is an engine-integration bug, not a recoverable runtime failure
         match rec.state {
-            // Staged records were evicted above; a record can only reach
-            // this arm resident-equivalent.
-            RecState::Staged => rec.tensor.clone(),
-            RecState::Resident => rec.tensor.clone(),
-            RecState::Storing { job } => {
-                let end = self.io.store_end(job);
-                if self.config.forwarding && now < end {
-                    // Data forwarding (Section 3.3.2): the tensor is
-                    // still in memory; skip the reload and, if the store
-                    // has not started, cancel it (adaptive feature 1).
-                    rec.state = RecState::Resident;
-                    let bytes = rec.bytes;
-                    let slab = rec.slab.take();
-                    let t = rec.tensor.clone();
-                    drop(inner);
-                    self.retire_slab(slab);
-                    let cancelled =
-                        self.config.cancel_forwarded_stores && self.io.try_cancel_store(job, now);
-                    let mut stats = self.stats.lock();
-                    stats.forwarded += 1;
-                    stats.forwarded_bytes += bytes;
-                    if cancelled {
-                        stats.cancelled_stores += 1;
-                        stats.cancelled_bytes += bytes;
-                        stats.offloaded_bytes -= bytes;
-                        stats.store_jobs -= 1;
-                        let c = stats.class_mut(OffloadClass::Activation);
-                        c.offloaded_bytes -= bytes;
-                        c.stores -= 1;
-                    }
-                    drop(stats);
-                    let trace = self.trace();
-                    trace.instant_bytes(TraceCategory::Forwarding, "forward", now, bytes);
-                    if cancelled {
-                        trace.instant_bytes(TraceCategory::Store, "store.cancel", now, bytes);
-                    }
-                    t
-                } else {
-                    // Store finished (or forwarding disabled): commit,
-                    // then block on a synchronous reload.
-                    if now < end {
-                        // Forwarding disabled: the load cannot begin
-                        // until the store finishes.
-                        // ssdtrain-lint: allow(lock-discipline): `rec` borrows from the guard and is committed right after the drain; the simulation is single-threaded, so the hold cannot block a peer, and dropping/relocking would re-look-up the record mid-commit
-                        let stall = self.io.clock().advance_to(end);
-                        self.stats.lock().stall_secs += stall;
-                        if stall > 0.0 {
-                            self.trace().span(
-                                TraceCategory::Stall,
-                                "stall.store_drain",
-                                end.plus_secs(-stall),
-                                end,
-                            );
-                        }
-                    }
-                    self.commit_store(rec, job);
-                    if matches!(rec.state, RecState::Resident) {
-                        // Commit found live references: the tensor never
-                        // left memory, no reload needed.
-                        return rec.tensor.clone();
-                    }
-                    let link = self.tiers.link(rec.tier);
-                    let busy0 = self.io.read_busy_secs_on(link);
-                    let ready = self.io.submit_load_from(link, rec.bytes);
-                    let load_secs = self.io.read_busy_secs_on(link) - busy0;
-                    self.restore_record(rec, ready);
-                    rec.state = RecState::Resident;
-                    let bytes = rec.bytes;
-                    let t = rec.tensor.clone();
-                    let seq = rec.scopes.iter().min().copied();
-                    if let Some(seq) = seq {
-                        if let Some(meta) = inner.scopes.get_mut(&seq) {
-                            meta.load_secs += load_secs;
-                        }
-                    }
-                    drop(inner);
-                    let stall = self.io.clock().advance_to(ready);
-                    let mut stats = self.stats.lock();
-                    stats.sync_loads += 1;
-                    stats.reloaded_bytes += bytes;
-                    stats.stall_secs += stall;
-                    let c = stats.class_mut(OffloadClass::Activation);
-                    c.reloaded_bytes += bytes;
-                    c.loads += 1;
-                    drop(stats);
-                    if stall > 0.0 {
-                        self.trace().span(
-                            TraceCategory::Stall,
-                            "stall.load",
-                            ready.plus_secs(-stall),
-                            ready,
-                        );
-                    }
-                    t
-                }
-            }
+            // Staged and storing records were settled above; whatever
+            // remains is resident-equivalent.
+            RecState::Resident | RecState::Staged | RecState::Storing { .. } => rec.tensor.clone(),
             RecState::Offloaded => {
                 let link = self.tiers.link(rec.tier);
                 let busy0 = self.io.read_busy_secs_on(link);

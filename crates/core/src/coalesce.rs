@@ -5,13 +5,15 @@
 //! GPU as large sequential writes; a store job per tensor re-introduces
 //! exactly the per-operation overheads (submission cost, FTL mapping
 //! churn, partial erase-block programs) the design engineers away. The
-//! coalescer sits between `TensorCache::pack` and the per-tier store
-//! queues: packed tensors are *staged* into the open segment of their
-//! placement tier, and when the segment reaches the configured size it
-//! *seals* — one I/O job, one device write operation
-//! ([`crate::OffloadTarget::write_batch`]) — while the per-segment index
-//! keeps every member's identity for loads, recovery and tier
-//! accounting.
+//! coalescer sits between the cache's store entry points (`pack` for
+//! activations, `offload_state` for gradients and optimizer state) and
+//! the per-tier store queues: tensors are *staged* into the open segment
+//! of their (placement tier, [`OffloadClass`]), and when the segment
+//! reaches the configured size it *seals* — one I/O job, one device
+//! write operation ([`crate::OffloadTarget::write_batch`]) — while the
+//! per-segment index keeps every member's identity for loads, recovery
+//! and tier accounting. A segment never mixes classes, so recovery and
+//! the per-class counters charge each segment to exactly one class.
 //!
 //! Invariants (pinned by the proptest suite), per tier and per
 //! [`OffloadClass`]:
@@ -21,7 +23,8 @@
 //!   set (members consumed before their segment filled, served from
 //!   memory like a forwarding hit), or the still-open segment.
 //! * **identity** — a sealed segment's entries sum to its byte total,
-//!   and a record id appears in at most one open or sealed segment.
+//!   every entry carries the segment's class, and a record id appears
+//!   in at most one open or sealed segment.
 //!
 //! The coalescer is a passive data structure: the cache drives staging,
 //! eviction and sealing, owns the sealed-segment lifecycle (submit →
@@ -52,6 +55,8 @@ pub struct SealedSegment {
     pub id: u64,
     /// The tier the whole segment lands on.
     pub tier: TierId,
+    /// The traffic class of every member.
+    pub class: OffloadClass,
     /// Members in staging order.
     pub entries: Vec<SegmentEntry>,
 }
@@ -84,14 +89,15 @@ struct OpenSegment {
     bytes: u64,
 }
 
-/// The staging buffer between pack and the store queues (see module
-/// docs). One open segment per tier; sealing is driven by the cache at
-/// the size threshold, at stage-exit drains, and at flush.
+/// The staging buffer between the cache and the store queues (see
+/// module docs). One open segment per (tier, class); sealing is driven
+/// by the cache at the size threshold, at stage-exit drains, at flush,
+/// and before a staged state tensor is read back.
 #[derive(Debug)]
 pub struct WriteCoalescer {
     segment_bytes: u64,
     next_id: u64,
-    open: HashMap<TierId, OpenSegment>,
+    open: HashMap<(TierId, OffloadClass), OpenSegment>,
     total: CoalesceCounts,
     by_tier: HashMap<TierId, CoalesceCounts>,
     by_class: HashMap<usize, CoalesceCounts>,
@@ -120,8 +126,9 @@ impl WriteCoalescer {
         self.segment_bytes
     }
 
-    /// Stages a packed record into its tier's open segment. Returns the
-    /// sealed segment when this staging filled it to the threshold.
+    /// Stages a record into the open segment of its (tier, class).
+    /// Returns the sealed segment when this staging filled it to the
+    /// threshold.
     /// Disabled coalescers stage nothing and return `None` — the caller
     /// must check [`WriteCoalescer::enabled`] and fall back to the
     /// per-tensor path.
@@ -135,7 +142,7 @@ impl WriteCoalescer {
         if !self.enabled() {
             return None;
         }
-        let open = self.open.entry(tier).or_default();
+        let open = self.open.entry((tier, class)).or_default();
         open.entries.push(SegmentEntry {
             record,
             bytes,
@@ -146,18 +153,24 @@ impl WriteCoalescer {
         self.by_tier.entry(tier).or_default().staged_bytes += bytes;
         self.by_class.entry(class.index()).or_default().staged_bytes += bytes;
         if open.bytes >= self.segment_bytes {
-            self.seal_tier(tier)
+            self.seal(tier, class)
         } else {
             None
         }
     }
 
-    /// Removes a staged record from its tier's open segment (the record
-    /// was consumed, forwarded or released before the segment filled).
+    /// Removes a staged record from its tier's open segments (the record
+    /// was consumed, forwarded or released before its segment filled).
     /// Returns its entry, or `None` when the record is not staged there.
     pub fn evict(&mut self, tier: TierId, record: u64) -> Option<SegmentEntry> {
-        let open = self.open.get_mut(&tier)?;
-        let pos = open.entries.iter().position(|e| e.record == record)?;
+        let (open, pos) = self
+            .open
+            .iter_mut()
+            .filter(|((t, _), _)| *t == tier)
+            .find_map(|(_, o)| {
+                let pos = o.entries.iter().position(|e| e.record == record)?;
+                Some((o, pos))
+            })?;
         let entry = open.entries.remove(pos);
         open.bytes -= entry.bytes;
         self.total.evicted_bytes += entry.bytes;
@@ -169,11 +182,12 @@ impl WriteCoalescer {
         Some(entry)
     }
 
-    /// Seals the tier's open segment regardless of fill level (stage
-    /// exits and flushes submit partial segments so no staged byte
-    /// outlives the forward pass). `None` when nothing is staged there.
-    pub fn seal_tier(&mut self, tier: TierId) -> Option<SealedSegment> {
-        let open = self.open.get_mut(&tier)?;
+    /// Seals the open segment of one (tier, class) regardless of fill
+    /// level (stage exits and flushes submit partial segments so no
+    /// staged byte outlives its stage). `None` when nothing is staged
+    /// there.
+    pub fn seal(&mut self, tier: TierId, class: OffloadClass) -> Option<SealedSegment> {
+        let open = self.open.get_mut(&(tier, class))?;
         if open.entries.is_empty() {
             return None;
         }
@@ -195,30 +209,42 @@ impl WriteCoalescer {
             c.sealed_bytes += e.bytes;
             c.entries_sealed += 1;
         }
-        Some(SealedSegment { id, tier, entries })
+        Some(SealedSegment {
+            id,
+            tier,
+            class,
+            entries,
+        })
     }
 
-    /// Seals every non-empty open segment, in tier order.
+    /// Seals every non-empty open segment of one tier, in class order.
+    pub fn seal_tier(&mut self, tier: TierId) -> Vec<SealedSegment> {
+        OffloadClass::ALL
+            .iter()
+            .filter_map(|c| self.seal(tier, *c))
+            .collect()
+    }
+
+    /// Seals every non-empty open segment, in (tier, class) order.
     pub fn seal_all(&mut self) -> Vec<SealedSegment> {
         let mut tiers: Vec<TierId> = self
             .open
             .iter()
             .filter(|(_, o)| !o.entries.is_empty())
-            .map(|(t, _)| *t)
+            .map(|((t, _), _)| *t)
             .collect();
         tiers.sort();
-        let mut out = Vec::with_capacity(tiers.len());
-        for tier in tiers {
-            if let Some(seg) = self.seal_tier(tier) {
-                out.push(seg);
-            }
-        }
-        out
+        tiers.dedup();
+        tiers.into_iter().flat_map(|t| self.seal_tier(t)).collect()
     }
 
-    /// Bytes currently staged in the tier's open segment.
+    /// Bytes currently staged in the tier's open segments.
     pub fn open_bytes(&self, tier: TierId) -> u64 {
-        self.open.get(&tier).map(|o| o.bytes).unwrap_or(0)
+        self.open
+            .iter()
+            .filter(|((t, _), _)| *t == tier)
+            .map(|(_, o)| o.bytes)
+            .sum()
     }
 
     /// Bytes staged across every open segment.
@@ -226,11 +252,11 @@ impl WriteCoalescer {
         self.open.values().map(|o| o.bytes).sum()
     }
 
-    /// Whether `record` is staged in the tier's open segment.
+    /// Whether `record` is staged in one of the tier's open segments.
     pub fn is_staged(&self, tier: TierId, record: u64) -> bool {
         self.open
-            .get(&tier)
-            .is_some_and(|o| o.entries.iter().any(|e| e.record == record))
+            .iter()
+            .any(|((t, _), o)| *t == tier && o.entries.iter().any(|e| e.record == record))
     }
 
     /// Global conservation counters.
@@ -310,6 +336,7 @@ mod tests {
         let sealed = c.seal_all();
         assert_eq!(sealed.len(), 2);
         assert_eq!(sealed[0].tier, a, "seal_all is tier-ordered");
+        assert_eq!(sealed[1].class, OffloadClass::Gradient);
         assert_eq!(c.tier_counts(a).sealed_bytes, 100);
         assert_eq!(c.tier_counts(b).sealed_bytes, 200);
         assert_eq!(c.class_counts(OffloadClass::Gradient).sealed_bytes, 200);
@@ -326,7 +353,9 @@ mod tests {
         assert_eq!(e.bytes, 50);
         assert!(!c.is_staged(t, 2));
         assert!(c.evict(t, 2).is_none(), "double eviction is inert");
-        let seg = c.seal_tier(t).expect("one member left");
+        let seg = c
+            .seal(t, OffloadClass::Activation)
+            .expect("one member left");
         assert_eq!(seg.total_bytes(), 100);
         let counts = c.counts();
         assert_eq!(
@@ -348,7 +377,25 @@ mod tests {
     fn sealing_an_empty_tier_returns_none() {
         let t = tier0();
         let mut c = WriteCoalescer::new(10);
-        assert!(c.seal_tier(t).is_none());
+        assert!(c.seal(t, OffloadClass::Activation).is_none());
+        assert!(c.seal_tier(t).is_empty());
         assert!(c.seal_all().is_empty());
+    }
+
+    #[test]
+    fn classes_on_one_tier_never_share_a_segment() {
+        let t = tier0();
+        let mut c = WriteCoalescer::new(100);
+        c.stage(t, 1, 60, OffloadClass::Activation);
+        c.stage(t, 2, 60, OffloadClass::OptimizerState);
+        assert_eq!(c.open_bytes(t), 120, "neither class reached the threshold");
+        let seg = c
+            .stage(t, 3, 60, OffloadClass::OptimizerState)
+            .expect("the state segment fills on its own");
+        assert_eq!(seg.class, OffloadClass::OptimizerState);
+        assert!(seg.entries.iter().all(|e| e.class == seg.class));
+        assert!(c.is_staged(t, 1), "the activation member stays open");
+        assert_eq!(c.evict(t, 1).map(|e| e.bytes), Some(60));
+        assert!(c.seal_tier(t).is_empty());
     }
 }

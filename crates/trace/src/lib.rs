@@ -371,6 +371,29 @@ impl TraceSink {
         }
     }
 
+    /// Records a point event carrying a byte count and an optional
+    /// `(key, value)` string tag (e.g. the traffic class the bytes
+    /// belong to). Without a tag the event is exactly a
+    /// [`TraceSink::instant_bytes`] one.
+    pub fn instant_bytes_tagged(
+        &self,
+        cat: TraceCategory,
+        name: impl Into<String>,
+        ts: SimTime,
+        bytes: u64,
+        tag: Option<(&'static str, &str)>,
+    ) {
+        if self.inner.is_some() {
+            // ssdtrain-lint: allow(no-alloc-hot-loop): at most two args,
+            // built only when tracing is enabled (gate above)
+            let mut args = vec![("bytes", ArgValue::U64(bytes))];
+            if let Some((key, value)) = tag {
+                args.push((key, ArgValue::from(value)));
+            }
+            self.emit(EventKind::Instant, cat, name, ts, args);
+        }
+    }
+
     /// Records a point event with arbitrary typed arguments.
     pub fn instant_with(
         &self,

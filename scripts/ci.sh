@@ -29,9 +29,15 @@ cargo test -q --test fault_injection
 # filter can never silently drop the analyzer's regression net.
 cargo test -q -p ssdtrain-lint --test golden_diagnostics
 cargo test -q -p ssdtrain-lint --test explain_cli
-# The checked-in bench report must keep the backends' step times
-# distinct and ordered (see the script header for the regeneration
-# command).
+# The bench gates read results/BENCH_{tiering,capacity,io}.json, which
+# are build outputs (results/ is gitignored): regenerate them first so
+# a clean checkout gates the current code. Each run takes well under a
+# second of wall time.
+cargo run -q -p ssdtrain-bench --release --bin bench_tiering
+cargo run -q -p ssdtrain-bench --release --bin bench_capacity
+cargo run -q -p ssdtrain-bench --release --bin bench_io
+# The bench reports must keep the backends' step times distinct and
+# ordered, and the I/O and capacity gates green (see the script header).
 scripts/bench_check.sh
 cargo clippy --workspace -- -D warnings
 # Project-invariant lint: sim-clock, panic-freedom, error discipline and

@@ -97,3 +97,20 @@ fn different_seeds_change_numerics_but_not_timing() {
     };
     assert_eq!(mk(1), mk(2));
 }
+
+#[test]
+fn arena_traffic_is_reported_per_step() {
+    // The arena's counters are cumulative; the stats report this step's
+    // share, so two identical steady-state steps stage the same bytes.
+    let metrics = run_steps(PlacementStrategy::Offload, true, 3);
+    let arena = |m: &StepMetrics| {
+        (
+            m.offload.arena_acquired_bytes,
+            m.offload.arena_released_bytes,
+        )
+    };
+    let (acquired, released) = arena(&metrics[1]);
+    assert!(acquired > 0, "offloaded bytes pass through the arena");
+    assert_eq!(acquired, released, "a step returns every slab it takes");
+    assert_eq!(arena(&metrics[2]), (acquired, released));
+}

@@ -9,24 +9,31 @@
 //! [`RecoveryPolicy`], plus read faults (unrecoverable by design) and
 //! `SlowIo` degradation (numerics preserved, time stretched).
 
-use ssdtrain::{RecoveryPolicy, TensorCacheConfig};
+use ssdtrain::{OffloadClass, RecoveryPolicy, TensorCacheConfig};
 use ssdtrain_models::ModelConfig;
 use ssdtrain_simhw::{FaultKind, FaultPlan, FaultTrigger};
-use ssdtrain_train::{SessionConfig, StepMetrics, TrainSession};
+use ssdtrain_train::{SessionBuilder, SessionConfig, StepMetrics, TrainSession};
 
 const STEPS: usize = 3;
+
+fn builder(recovery: RecoveryPolicy, cache: TensorCacheConfig) -> SessionBuilder {
+    SessionConfig::builder()
+        .model(ModelConfig::tiny_gpt())
+        .batch_size(2)
+        .cache(cache)
+        .recovery(recovery)
+        .seed(23)
+}
 
 fn session_with(
     fault: Option<FaultPlan>,
     recovery: RecoveryPolicy,
     cache: TensorCacheConfig,
 ) -> TrainSession {
-    let mut builder = SessionConfig::builder()
-        .model(ModelConfig::tiny_gpt())
-        .batch_size(2)
-        .cache(cache)
-        .recovery(recovery)
-        .seed(23);
+    build(builder(recovery, cache), fault)
+}
+
+fn build(mut builder: SessionBuilder, fault: Option<FaultPlan>) -> TrainSession {
     if let Some(plan) = fault {
         builder = builder.fault(plan);
     }
@@ -46,6 +53,20 @@ fn coalesced_session(fault: Option<FaultPlan>, recovery: RecoveryPolicy) -> Trai
     cache.coalesce_segment_bytes = 1 << 20;
     cache.prefetch_group_modules = 2;
     session_with(fault, recovery, cache)
+}
+
+/// The coalesced session offloading all three classes: gradients and
+/// momentum ride their own segments through the same seal → commit /
+/// recover path as the activations.
+fn coalesced_state_session(fault: Option<FaultPlan>, recovery: RecoveryPolicy) -> TrainSession {
+    let mut cache = TensorCacheConfig::offload_everything();
+    cache.coalesce_segment_bytes = 1 << 20;
+    cache.prefetch_group_modules = 2;
+    let b = builder(recovery, cache)
+        .offload(OffloadClass::Gradient, true)
+        .offload(OffloadClass::OptimizerState, true)
+        .momentum(0.9);
+    build(b, fault)
 }
 
 /// Runs `STEPS` steps, asserting every one succeeds, and returns the
@@ -348,4 +369,51 @@ fn fault_free_plan_changes_nothing() {
     let log = s.fault_log().expect("plan attached");
     assert_eq!(log.write_faults + log.read_faults, 0);
     assert!(log.ops > 0, "the decorator still observes traffic");
+}
+
+#[test]
+fn coalesced_state_offload_survives_the_fault_matrix() {
+    // Gradient and optimizer-state segments go through the same
+    // segment recovery as activation segments: every trigger × policy
+    // stays bit-identical to the healthy run or surfaces a store error.
+    let base = loss_bits(&run(&mut coalesced_state_session(
+        None,
+        RecoveryPolicy::KeepResident,
+    )));
+    let mut plans = write_fault_plans();
+    // Fires on every write after the first 16 KiB, so the state
+    // segments written after backward fail too.
+    plans.push((
+        "recurring",
+        FaultPlan::new(7).with_recurring_fault(
+            FaultTrigger::ByteThreshold { bytes: 16 << 10 },
+            FaultKind::WriteError,
+        ),
+    ));
+    for (name, plan) in plans {
+        for policy in [RecoveryPolicy::KeepResident, RecoveryPolicy::FallbackTarget] {
+            let mut s = coalesced_state_session(Some(plan.clone()), policy);
+            let metrics = run(&mut s);
+            assert_eq!(
+                loss_bits(&metrics),
+                base,
+                "{name} / {policy:?}: state-class recovery must not change numerics"
+            );
+            let failures: u64 = metrics.iter().map(|m| m.offload.store_failures).sum();
+            let absorbed: u64 = metrics
+                .iter()
+                .map(|m| m.offload.kept_resident_bytes + m.offload.fallback_bytes)
+                .sum();
+            assert!(failures >= 1, "{name} / {policy:?}: the fault should fire");
+            assert!(absorbed > 0, "{name} / {policy:?}: recovery must absorb it");
+        }
+        let mut s = coalesced_state_session(Some(plan), RecoveryPolicy::FailStep);
+        let err = (0..STEPS)
+            .find_map(|_| s.run_step().err())
+            .unwrap_or_else(|| panic!("{name}: fail-step policy should surface the fault"));
+        assert!(
+            err.error.is_store(),
+            "{name}: a write fault is a store error"
+        );
+    }
 }

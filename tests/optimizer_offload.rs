@@ -271,3 +271,52 @@ fn profiled_arrival_forecast_never_exposes_more_than_uniform() {
         "profiled forecast exposed {profiled_exposed} > uniform forecast {uniform_exposed}"
     );
 }
+
+#[test]
+fn coalesced_state_stays_bit_identical_and_stores_count_segments() {
+    // With 1 MiB segments every class — activations, gradients and
+    // momentum — rides the write coalescer: fewer store jobs, same bits.
+    let reference = losses(&mut in_memory(), STEPS);
+    for overlap in [false, true] {
+        let mut per_tensor = offloaded(overlap);
+        let mut coalesced = TrainSession::new(
+            offloaded_builder(overlap)
+                .coalesce_segment(1 << 20)
+                .build()
+                .expect("valid config"),
+        )
+        .expect("session");
+        let mut got = Vec::new();
+        for step in 1..=STEPS {
+            let tensors = per_tensor.run_step().expect("step").offload;
+            let m = coalesced.run_step().expect("step");
+            got.push(m.loss);
+            let stats = &m.offload;
+            let classes = |f: fn(&ssdtrain::ClassCounters) -> u64| -> u64 {
+                stats.classes.iter().map(f).sum()
+            };
+            assert_eq!(
+                classes(|c| c.offloaded_bytes),
+                stats.offloaded_bytes,
+                "overlap={overlap} step {step}: class lanes partition the byte account"
+            );
+            // Every store job is a sealed segment of exactly one class.
+            assert_eq!(stats.store_jobs, stats.coalesce_segments);
+            assert_eq!(classes(|c| c.stores), stats.coalesce_segments);
+            for class in OffloadClass::ALL {
+                let stores = |s: &ssdtrain::OffloadStats| s.class(class).map_or(0, |c| c.stores);
+                // The per-tensor twin stores one job per tensor.
+                let (segments, count) = (stores(stats), stores(&tensors));
+                assert!(
+                    segments > 0 && segments < count,
+                    "overlap={overlap} step {step}: {class} stores {segments} segments \
+                     for {count} tensors"
+                );
+            }
+        }
+        assert_eq!(
+            got, reference,
+            "overlap={overlap}: coalesced state drifted from the in-memory optimizer"
+        );
+    }
+}

@@ -13,8 +13,8 @@
 //!    identities the trace records.
 
 use ssdtrain::{
-    chrome_trace_json, ArgValue, EventKind, OffloadStats, RecoveryPolicy, TensorCacheConfig,
-    TraceCategory, TraceEvent, TraceSink,
+    chrome_trace_json, ArgValue, EventKind, OffloadClass, OffloadStats, RecoveryPolicy,
+    TensorCacheConfig, TraceCategory, TraceEvent, TraceSink,
 };
 use ssdtrain_models::ModelConfig;
 use ssdtrain_simhw::{FaultKind, FaultPlan, FaultTrigger, SystemConfig};
@@ -291,6 +291,121 @@ fn trace_accounting_survives_faults_on_the_coalesced_path() {
             "{recovery:?}: the fault plan must actually fire"
         );
         assert_accounting(&sink.events(), &per_step);
+    }
+}
+
+/// The traffic class of a store-account event: state classes carry a
+/// `class` argument, untagged events are activations.
+fn event_class(e: &TraceEvent) -> &str {
+    e.args
+        .iter()
+        .find_map(|(k, v)| match (k, v) {
+            (&"class", ArgValue::Str(s)) => Some(s.as_str()),
+            _ => None,
+        })
+        .unwrap_or(OffloadClass::Activation.label())
+}
+
+/// [`assert_accounting`]'s store identity, per offload class:
+/// Σ`store.enqueue` − Σ`store.cancel` − recoveries == the class lane's
+/// `offloaded_bytes`, step by step.
+fn assert_class_accounting(events: &[TraceEvent], per_step: &[OffloadStats]) {
+    for (i, stats) in per_step.iter().enumerate() {
+        let step = (i + 1) as u32;
+        for class in OffloadClass::ALL {
+            let sum = |name: &str| -> u64 {
+                events
+                    .iter()
+                    .filter(|e| e.step == step && e.name == name && event_class(e) == class.label())
+                    .filter_map(|e| e.bytes())
+                    .sum()
+            };
+            let stored = sum("store.enqueue")
+                - sum("store.cancel")
+                - sum("recovery.keep_resident")
+                - sum("recovery.fallback");
+            let lane = stats.class(class).map_or(0, |c| c.offloaded_bytes);
+            assert_eq!(stored, lane, "step {step}: {class} store bytes");
+        }
+    }
+}
+
+/// [`coalesced_session`] also offloading gradients and optimizer state:
+/// all three classes ride the segment path.
+fn coalesced_state_session(
+    sink: TraceSink,
+    recovery: RecoveryPolicy,
+    fault: Option<FaultPlan>,
+    fallback: Option<OffloadBackend>,
+) -> TrainSession {
+    let mut cache = TensorCacheConfig::offload_everything();
+    cache.coalesce_segment_bytes = 1 << 20;
+    cache.prefetch_group_modules = 2;
+    let mut builder = SessionConfig::builder()
+        .model(ModelConfig::tiny_gpt())
+        .batch_size(2)
+        .cache(cache)
+        .offload(OffloadClass::Gradient, true)
+        .offload(OffloadClass::OptimizerState, true)
+        .overlap_optimizer(true)
+        .momentum(0.9)
+        .recovery(recovery)
+        .seed(7)
+        .backend(OffloadBackend::Ssd)
+        .trace(sink);
+    if let Some(plan) = fault {
+        builder = builder.fault(plan);
+    }
+    if let Some(fb) = fallback {
+        builder = builder.fallback(fb);
+    }
+    TrainSession::new(builder.build().expect("valid config")).expect("session")
+}
+
+#[test]
+fn trace_accounting_closes_per_class_on_the_coalesced_state_path() {
+    // Healthy and under recurring write faults (absorbed by both
+    // policies), the store identity holds globally and per class once
+    // gradients and momentum share the segment path with activations.
+    let fault = || {
+        FaultPlan::new(42).with_recurring_fault(
+            FaultTrigger::ByteThreshold { bytes: 16 << 10 },
+            FaultKind::WriteError,
+        )
+    };
+    for (recovery, plan, fallback) in [
+        (RecoveryPolicy::KeepResident, None, None),
+        (RecoveryPolicy::KeepResident, Some(fault()), None),
+        (
+            RecoveryPolicy::FallbackTarget,
+            Some(fault()),
+            Some(OffloadBackend::Dram),
+        ),
+    ] {
+        let faulted = plan.is_some();
+        let sink = TraceSink::enabled();
+        let mut s = coalesced_state_session(sink.clone(), recovery, plan, fallback);
+        let per_step = run(&mut s);
+        let events = sink.events();
+        assert_accounting(&events, &per_step);
+        assert_class_accounting(&events, &per_step);
+        for class in [OffloadClass::Gradient, OffloadClass::OptimizerState] {
+            let segments = per_step
+                .iter()
+                .filter_map(|m| m.class(class))
+                .map(|c| c.stores)
+                .sum::<u64>();
+            assert!(segments > 0, "{recovery:?}: {class} must ride segments");
+            let recovered = events.iter().any(|e| {
+                e.name.starts_with("recovery.")
+                    && e.bytes().is_some()
+                    && event_class(e) == class.label()
+            });
+            assert_eq!(
+                recovered, faulted,
+                "{recovery:?}: {class} recovery events iff the fault plan fired"
+            );
+        }
     }
 }
 
