@@ -18,7 +18,7 @@
 //! forwarded was never actually released, and no event is emitted.
 
 use crate::adaptive::{AdaptivePlan, ModuleProfile, StepProfile};
-use crate::coalesce::{SegmentEntry, WriteCoalescer};
+use crate::coalesce::{SealedSegment, SegmentEntry, WriteCoalescer};
 use crate::config::{RecoveryPolicy, TensorCacheConfig};
 use crate::costmodel::{CostModel, TierPlan};
 use crate::error::OffloadError;
@@ -137,6 +137,10 @@ struct Record {
     /// read. Reset at `begin_step`: the previous step's drains landed
     /// every store before the clock restarted.
     landed: SimTime,
+    /// Admitted by a module the previous step's opening prefetch window
+    /// covered (see [`WindowForecast`]): a staged member of a segment
+    /// that may be held rather than submitted.
+    window: bool,
 }
 
 /// A sealed segment whose store job is in flight: the per-segment index
@@ -160,6 +164,8 @@ pub struct StateSlot(RecordId);
 #[derive(Default)]
 struct ScopeMeta {
     path: String,
+    /// Position in its micro-batch's forward order.
+    pos: usize,
     records: Vec<RecordId>,
     enter: SimTime,
     fwd_secs: f64,
@@ -168,6 +174,16 @@ struct ScopeMeta {
     store_secs: f64,
     /// Simulated link occupancy of this module's reloads.
     load_secs: f64,
+}
+
+/// What the previous step's forward of one micro-batch predicts about
+/// this one (the coalesced path's opening-window hold, DESIGN §10).
+struct WindowForecast {
+    /// Forward-order positions of the modules the backward's opening
+    /// prefetch covered ([`TensorCache::opening_window`]).
+    positions: HashSet<usize>,
+    /// The forward stage's length up to its exit, before the store drain.
+    fwd_secs: f64,
 }
 
 struct Inner {
@@ -195,6 +211,14 @@ struct Inner {
     /// Pinned staging slab per in-flight prefetch group; released when
     /// backward consumption moves past the group.
     group_slabs: HashMap<(usize, usize), PinnedSlab>,
+    /// When the current forward stage began.
+    fwd_stage_enter: SimTime,
+    /// What this step's forward exits observed, per micro-batch: the
+    /// next step's forecast.
+    next_forecast: HashMap<usize, WindowForecast>,
+    /// The previous step's windows, per micro-batch; empty on the first
+    /// step, so nothing is held then.
+    forecast: HashMap<usize, WindowForecast>,
 }
 
 impl Default for Inner {
@@ -215,6 +239,9 @@ impl Default for Inner {
             segments: HashMap::new(),
             groups_loaded: HashSet::new(),
             group_slabs: HashMap::new(),
+            fwd_stage_enter: SimTime::ZERO,
+            next_forecast: HashMap::new(),
+            forecast: HashMap::new(),
         }
     }
 }
@@ -477,6 +504,7 @@ impl TensorCache {
         self.arena.begin_step();
         *self.arena_base.lock() = self.arena.stats();
         let mut inner = self.inner.lock();
+        inner.forecast = std::mem::take(&mut inner.next_forecast);
         inner.stack.clear();
         inner.scopes.clear();
         inner.forward_order.clear();
@@ -487,6 +515,7 @@ impl TensorCache {
         }
         inner.phase = Phase::Forward;
         inner.fwd_start = self.io.clock().now();
+        inner.fwd_stage_enter = inner.fwd_start;
         inner.fwd_secs = 0.0;
         *self.stats.lock() = OffloadStats::default();
         self.link_stalls.lock().clear();
@@ -635,35 +664,79 @@ impl TensorCache {
         self.replan(&profile);
     }
 
-    /// Collects the records of up to `depth` record-holding modules at or
-    /// before position `pos` in the forward order, nearest first.
-    fn records_before(&self, mb: usize, pos: usize, depth: usize) -> Vec<RecordId> {
-        let inner = self.inner.lock();
+    /// The forward-order positions of up to `depth` record-holding
+    /// modules before position `pos`, nearest first.
+    fn modules_before(inner: &Inner, mb: usize, pos: usize, depth: usize) -> Vec<usize> {
         let Some(order) = inner.forward_order.get(&mb) else {
             return Vec::new();
         };
-        let mut out = Vec::new();
-        let mut taken = 0;
-        for seq in order[..pos.min(order.len())].iter().rev() {
-            let Some(meta) = inner.scopes.get(seq) else {
-                continue;
-            };
-            if meta.records.is_empty() {
-                continue;
-            }
-            out.extend_from_slice(&meta.records);
-            taken += 1;
-            if taken >= depth {
-                break;
-            }
-        }
-        out
+        (0..pos.min(order.len()))
+            .rev()
+            .filter(|p| {
+                inner
+                    .scopes
+                    .get(&order[*p])
+                    .is_some_and(|m| !m.records.is_empty())
+            })
+            .take(depth)
+            .collect()
     }
 
-    /// The record ids and total bytes of prefetch group `gidx` — the
-    /// modules at forward-order positions `[gidx·G, (gidx+1)·G)` for
-    /// `G = prefetch_group_modules`.
-    fn group_records(&self, inner: &Inner, mb: usize, gidx: usize) -> (Vec<RecordId>, u64) {
+    /// The records of the modules at forward-order `positions`, in order.
+    fn module_records(inner: &Inner, mb: usize, positions: &[usize]) -> Vec<RecordId> {
+        let Some(order) = inner.forward_order.get(&mb) else {
+            return Vec::new();
+        };
+        positions
+            .iter()
+            .filter_map(|p| inner.scopes.get(&order[*p]))
+            .flat_map(|m| m.records.iter().copied())
+            .collect()
+    }
+
+    /// The backward's *opening window*: the forward-order positions, last
+    /// first, of the modules [`TensorCache::prefetch_last_module`] issues
+    /// — every module of the last `prefetch_depth` groups in group mode,
+    /// else the last `prefetch_depth` record-holding modules. Empty with
+    /// prefetching off. The coalesced path keeps these records in memory
+    /// instead of writing them and reading them straight back.
+    fn opening_window(&self, inner: &Inner, mb: usize) -> Vec<usize> {
+        let len = inner.forward_order.get(&mb).map_or(0, Vec::len);
+        let depth = self.config.prefetch_depth.max(1);
+        let g = self.config.prefetch_group_modules;
+        if !self.config.prefetch || len == 0 {
+            return Vec::new();
+        }
+        if g == 0 {
+            return Self::modules_before(inner, mb, len, depth);
+        }
+        let groups = (len - 1) / g + 1;
+        let first = groups.saturating_sub(depth) * g;
+        (first..len).rev().collect()
+    }
+
+    /// Whether prefetching record `rec` at `now` reloads its bytes (a
+    /// store still in flight is forwarded instead; staged and resident
+    /// records never left memory).
+    fn will_reload(&self, rec: &Record, now: SimTime) -> bool {
+        match rec.state {
+            RecState::Offloaded => true,
+            RecState::Storing { job } => now >= self.io.store_end(job),
+            _ => false,
+        }
+    }
+
+    /// The record ids of prefetch group `gidx` — the modules at
+    /// forward-order positions `[gidx·G, (gidx+1)·G)` for `G =
+    /// prefetch_group_modules` — and the bytes of those a prefetch at
+    /// `now` actually reloads.
+    fn group_records(
+        &self,
+        inner: &Inner,
+        mb: usize,
+        gidx: usize,
+        now: SimTime,
+    ) -> (Vec<RecordId>, u64) {
         let Some(order) = inner.forward_order.get(&mb) else {
             return (Vec::new(), 0);
         };
@@ -682,7 +755,11 @@ impl TensorCache {
             for id in &meta.records {
                 if !ids.contains(id) {
                     ids.push(*id);
-                    bytes += inner.records.get(id).map_or(0, |r| r.bytes);
+                    bytes += inner
+                        .records
+                        .get(id)
+                        .filter(|r| self.will_reload(r, now))
+                        .map_or(0, |r| r.bytes);
                 }
             }
         }
@@ -690,28 +767,29 @@ impl TensorCache {
     }
 
     /// Issues prefetch group `gidx` of micro-batch `mb` onto a fresh
-    /// arena staging slab — at most once per step (the double buffer
-    /// must never load a group twice; re-requests are no-ops).
+    /// arena staging slab sized to the bytes it reloads — at most once
+    /// per step (the double buffer must never load a group twice;
+    /// re-requests are no-ops). A group with nothing to reload only
+    /// settles its members and is not counted.
     fn prefetch_group(&self, mb: usize, gidx: usize) {
         if !self.config.prefetch {
             return;
         }
+        let now = self.io.clock().now();
         let (ids, bytes) = {
             let mut inner = self.inner.lock();
             if !inner.groups_loaded.insert((mb, gidx)) {
                 return;
             }
-            let (ids, bytes) = self.group_records(&inner, mb, gidx);
-            if ids.is_empty() {
+            let (ids, bytes) = self.group_records(&inner, mb, gidx, now);
+            if bytes == 0 {
+                drop(inner);
+                self.prefetch_records(&ids);
                 return;
             }
             if let Some(slab) = self.arena.acquire(bytes) {
-                self.trace().instant_bytes(
-                    TraceCategory::Arena,
-                    "arena.acquire",
-                    self.io.clock().now(),
-                    bytes,
-                );
+                self.trace()
+                    .instant_bytes(TraceCategory::Arena, "arena.acquire", now, bytes);
                 inner.group_slabs.insert((mb, gidx), slab);
             }
             (ids, bytes)
@@ -723,7 +801,7 @@ impl TensorCache {
         self.trace().instant_with(
             TraceCategory::Prefetch,
             "prefetch.group",
-            self.io.clock().now(),
+            now,
             vec![
                 ("group", ArgValue::U64(gidx as u64)),
                 ("bytes", ArgValue::U64(bytes)),
@@ -769,14 +847,18 @@ impl TensorCache {
     }
 
     fn enter_stage(&self, stage: StageHint) {
-        if let StageHint::MicroBatchLoad(mb) = stage {
-            self.set_micro_batch(mb);
+        match stage {
+            StageHint::MicroBatchLoad(mb) => self.set_micro_batch(mb),
+            StageHint::Forward => self.inner.lock().fwd_stage_enter = self.io.clock().now(),
+            _ => {}
         }
     }
 
     fn exit_stage(&self, stage: StageHint) {
-        if matches!(stage, StageHint::Backward) {
-            self.wait_io();
+        match stage {
+            StageHint::Forward => self.withdraw_opening_window(),
+            StageHint::Backward => self.wait_io(),
+            _ => {}
         }
         self.drain_stores();
         if matches!(stage, StageHint::Optimizer) {
@@ -835,6 +917,36 @@ impl TensorCache {
                     now0,
                     *drain,
                 );
+            }
+        }
+    }
+
+    /// The forward exit on the coalesced path: records the window and the
+    /// forward stage's length (the next step's forecast) and withdraws every
+    /// opening-window record still staged — held or in an open segment —
+    /// instead of letting the drain seal it. Each is forwarded from
+    /// memory: its store is cancelled before any job carried it, so
+    /// backward has nothing to reload. Whether a member is still staged
+    /// here depends only on the forward order and the seal-time hold
+    /// decision, never on which jobs happened to start.
+    fn withdraw_opening_window(&self) {
+        if self.config.coalesce_segment_bytes == 0 {
+            return;
+        }
+        let mut inner = self.inner.lock();
+        let mb = inner.current_mb;
+        let window = self.opening_window(&inner, mb);
+        let forecast = WindowForecast {
+            positions: window.iter().copied().collect(),
+            fwd_secs: self.io.clock().now().since(inner.fwd_stage_enter),
+        };
+        inner.next_forecast.insert(mb, forecast);
+        for id in Self::module_records(&inner, mb, &window) {
+            if matches!(
+                inner.records.get(&id).map(|r| r.state),
+                Some(RecState::Staged)
+            ) {
+                self.evict_staged(&mut inner, id, true);
             }
         }
     }
@@ -910,30 +1022,25 @@ impl TensorCache {
     /// last `prefetch_depth` groups are issued instead, filling both
     /// halves of the double buffer before backward starts consuming.
     pub fn prefetch_last_module(&self) {
-        let (mb, len) = {
+        let (mb, window, ids) = {
             let inner = self.inner.lock();
             let mb = inner.current_mb;
-            let len = inner.forward_order.get(&mb).map_or(0, |o| o.len());
-            (mb, len)
+            let window = self.opening_window(&inner, mb);
+            let ids = Self::module_records(&inner, mb, &window);
+            (mb, window, ids)
         };
         let g = self.config.prefetch_group_modules;
-        if self.config.prefetch && g > 0 {
-            if len == 0 {
-                return;
-            }
-            let last = (len - 1) / g;
-            for d in 0..self.config.prefetch_depth.max(1) {
-                if d > last {
-                    break;
-                }
-                // ssdtrain-lint: allow(no-alloc-hot-loop): issuing a group
-                // prefetch submits the group's reloads — the data path
-                self.prefetch_group(mb, last - d);
-            }
+        if g == 0 {
+            self.prefetch_records(&ids);
             return;
         }
-        let ids = self.records_before(mb, len, self.config.prefetch_depth.max(1));
-        self.prefetch_records(&ids);
+        let mut groups: Vec<usize> = window.iter().map(|p| p / g).collect();
+        groups.dedup();
+        for gidx in groups {
+            // ssdtrain-lint: allow(no-alloc-hot-loop): issuing a group
+            // prefetch submits the group's reloads — the data path
+            self.prefetch_group(mb, gidx);
+        }
     }
 
     /// Scheduler hint (Algorithm 1 line 15): block until in-flight
@@ -1085,7 +1192,7 @@ impl TensorCache {
         if let RecState::Staged = rec.state {
             let sealed = self.coalescer.lock().seal(rec.tier, rec.class);
             if let Some(seg) = sealed {
-                self.seal_segment(&mut inner, seg);
+                self.seal_segment(&mut inner, seg, false);
             }
         }
         let rec = inner.records.get_mut(&id)?;
@@ -1211,6 +1318,8 @@ impl TensorCache {
         let slab_acquired = slab.is_some();
         let staged = self.config.coalesce_segment_bytes > 0
             && (lifetime == Lifetime::Persistent || !inner.phase.in_backward());
+        let window =
+            staged && class == OffloadClass::Activation && Self::forecast_covers(inner, &scopes);
         let (state, store_secs) = if staged {
             (RecState::Staged, 0.0)
         } else {
@@ -1236,6 +1345,7 @@ impl TensorCache {
                 seg: None,
                 slab,
                 landed: SimTime::ZERO,
+                window,
             },
         );
         let mut stats = self.stats.lock();
@@ -1274,17 +1384,41 @@ impl TensorCache {
             );
         }
         if staged {
-            let sealed = self
-                .coalescer
-                .lock()
-                .stage(placement.tier, id, bytes, class);
-            if let Some(seg) = sealed {
-                self.seal_segment(inner, seg);
+            let mut coalescer = self.coalescer.lock();
+            // A segment never mixes opening-window members with others:
+            // the first member of the other kind seals the open segment.
+            let mixes = coalescer
+                .open_entries(placement.tier, class)
+                .first()
+                .and_then(|e| inner.records.get(&e.record))
+                .is_some_and(|r| r.window != window);
+            let boundary = mixes
+                .then(|| coalescer.seal(placement.tier, class))
+                .flatten();
+            let full = coalescer.stage(placement.tier, id, bytes, class);
+            drop(coalescer);
+            if let Some(seg) = boundary {
+                self.seal_segment(inner, seg, true);
+            }
+            if let Some(seg) = full {
+                self.seal_segment(inner, seg, true);
             }
         } else if lifetime == Lifetime::Persistent {
             self.commit(inner, id);
         }
         (id, store_secs)
+    }
+
+    /// Whether the module admitting a record (its only scope, `scopes`)
+    /// sat in the previous step's opening window of this micro-batch.
+    fn forecast_covers(inner: &Inner, scopes: &HashSet<u64>) -> bool {
+        let Some(forecast) = inner.forecast.get(&inner.current_mb) else {
+            return false;
+        };
+        scopes
+            .iter()
+            .filter_map(|seq| inner.scopes.get(seq))
+            .any(|meta| forecast.positions.contains(&meta.pos))
     }
 
     /// Commits record `id`'s in-flight store through whichever job
@@ -1342,18 +1476,25 @@ impl TensorCache {
 
     /// Data forwarding (Section 3.3.2): record `id`, whose store `job`
     /// is still in flight, is consumed from memory and skips the reload.
-    /// A per-tensor store that has not started is cancelled (adaptive
-    /// feature 1); a segment job carries the member's siblings on, and
-    /// commit skips this member. Returns the resident tensor.
+    /// A store that has not started is cancelled (adaptive feature 1): a
+    /// per-tensor job outright, a segment job by re-sealing the segment
+    /// without this member. A started segment job carries the member's
+    /// siblings on, and commit skips this member. Returns the resident
+    /// tensor.
     fn forward(&self, inner: &mut Inner, id: RecordId, job: JobId, now: SimTime) -> Option<Tensor> {
         let rec = inner.records.get_mut(&id)?;
         rec.state = RecState::Resident;
         let (bytes, class, seg, slab) = (rec.bytes, rec.class, rec.seg, rec.slab.take());
         let tensor = rec.tensor.clone();
         self.retire_slab(slab);
-        let cancelled = seg.is_none()
-            && self.config.cancel_forwarded_stores
-            && self.io.try_cancel_store(job, now);
+        let (cancelled, job_gone) = match seg {
+            _ if !self.config.cancel_forwarded_stores => (false, false),
+            None => {
+                let cancelled = self.io.try_cancel_store(job, now);
+                (cancelled, cancelled)
+            }
+            Some(seg) => self.reseal_without(inner, seg, now),
+        };
         let mut stats = self.stats.lock();
         stats.forwarded += 1;
         stats.forwarded_bytes += bytes;
@@ -1361,10 +1502,15 @@ impl TensorCache {
             stats.cancelled_stores += 1;
             stats.cancelled_bytes += bytes;
             stats.offloaded_bytes -= bytes;
+            stats.class_mut(class).offloaded_bytes -= bytes;
+            if seg.is_some() {
+                stats.coalesced_bytes -= bytes;
+                stats.coalesce_segments -= u64::from(job_gone);
+            }
+        }
+        if job_gone {
             stats.store_jobs -= 1;
-            let c = stats.class_mut(class);
-            c.offloaded_bytes -= bytes;
-            c.stores -= 1;
+            stats.class_mut(class).stores -= 1;
         }
         drop(stats);
         let trace = self.trace();
@@ -1379,6 +1525,40 @@ impl TensorCache {
             );
         }
         Some(tensor)
+    }
+
+    /// Re-seals segment `seg_id` without its forwarded members when its
+    /// job has not started by `now`: the job is cancelled and the members
+    /// still riding it are resubmitted as one job, or none when no member
+    /// is left. Returns whether the forwarded member's store was
+    /// cancelled and whether the segment's job went away with it.
+    fn reseal_without(&self, inner: &mut Inner, seg_id: u64, now: SimTime) -> (bool, bool) {
+        let Some(seg) = inner.segments.get_mut(&seg_id) else {
+            return (false, false);
+        };
+        let old = seg.job;
+        if !self.io.try_cancel_store(old, now) {
+            return (false, false);
+        }
+        let records = &inner.records;
+        seg.entries.retain(|e| {
+            records
+                .get(&e.record)
+                .is_some_and(|r| matches!(r.state, RecState::Storing { job } if job == old))
+        });
+        if seg.entries.is_empty() {
+            inner.segments.remove(&seg_id);
+            return (true, true);
+        }
+        let total = seg.entries.iter().map(|e| e.bytes).sum();
+        let job = self.io.submit_store_to(self.tiers.link(seg.tier), total);
+        seg.job = job;
+        for e in &seg.entries {
+            if let Some(rec) = inner.records.get_mut(&e.record) {
+                rec.state = RecState::Storing { job };
+            }
+        }
+        (true, false)
     }
 
     /// Releases a staging slab back to the arena, emitting the
@@ -1405,7 +1585,7 @@ impl TensorCache {
         for seg in sealed {
             // ssdtrain-lint: allow(no-alloc-hot-loop): sealing submits the
             // segment's store job — the data path, one call per segment
-            self.seal_segment(&mut inner, seg);
+            self.seal_segment(&mut inner, seg, false);
         }
     }
 
@@ -1418,12 +1598,28 @@ impl TensorCache {
     /// per-record at admission, so the trace identity `Σstore.enqueue −
     /// Σstore.cancel − recoveries == offloaded_bytes` holds unchanged
     /// through the coalesced path.
-    fn seal_segment(&self, inner: &mut Inner, seg: crate::coalesce::SealedSegment) {
+    ///
+    /// With `may_hold` (a seal during the forward, not a stage barrier),
+    /// a segment made only of forecast opening-window members whose
+    /// write could not land before the forecast forward end is held
+    /// instead: no job, its members stay staged for the forward exit to
+    /// withdraw ([`TensorCache::withdraw_opening_window`]).
+    fn seal_segment(&self, inner: &mut Inner, seg: SealedSegment, may_hold: bool) {
         let total = seg.total_bytes();
         if total == 0 {
             return;
         }
         let link = self.tiers.link(seg.tier);
+        if may_hold && self.lands_after_forward(inner, &seg, link, total) {
+            self.coalescer.lock().hold(seg);
+            self.trace().instant_bytes(
+                TraceCategory::Coalesce,
+                "coalesce.hold",
+                self.io.clock().now(),
+                total,
+            );
+            return;
+        }
         let job = self.io.submit_store_to(link, total);
         let (start, end) = self.io.store_span(job);
         let seg_secs = end.since(start);
@@ -1475,6 +1671,30 @@ impl TensorCache {
         if Lifetime::of(class) == Lifetime::Persistent {
             self.commit_segment(inner, id);
         }
+    }
+
+    /// Whether `seg` holds only forecast opening-window members and its
+    /// write, submitted now on `link`, could not land before the forecast
+    /// forward end (this forward stage's start plus the previous step's
+    /// forward length). The forecast is compute-only, so a slower link
+    /// can only hold more.
+    fn lands_after_forward(
+        &self,
+        inner: &Inner,
+        seg: &SealedSegment,
+        link: usize,
+        total: u64,
+    ) -> bool {
+        let Some(forecast) = inner.forecast.get(&inner.current_mb) else {
+            return false;
+        };
+        let window_only = seg
+            .entries
+            .iter()
+            .all(|e| inner.records.get(&e.record).is_some_and(|r| r.window));
+        window_only
+            && self.io.store_end_if_submitted(link, total)
+                > inner.fwd_stage_enter.plus_secs(forecast.fwd_secs)
     }
 
     /// Commits a sealed segment: one batched device write for every
@@ -2223,10 +2443,15 @@ impl ModuleHooks for TensorCache {
         }
         inner.current_mb = scope.micro_batch;
         inner.stack.push(scope.seq);
+        let pos = inner
+            .forward_order
+            .get(&scope.micro_batch)
+            .map_or(0, Vec::len);
         inner.scopes.insert(
             scope.seq,
             ScopeMeta {
                 path: scope.path.clone(),
+                pos,
                 records: Vec::new(),
                 enter: self.io.clock().now(),
                 fwd_secs: 0.0,
@@ -2309,7 +2534,12 @@ impl ModuleHooks for TensorCache {
             }
             return;
         }
-        let ids = self.records_before(scope.micro_batch, pos, self.config.prefetch_depth.max(1));
+        let ids = {
+            let inner = self.inner.lock();
+            let depth = self.config.prefetch_depth.max(1);
+            let modules = Self::modules_before(&inner, scope.micro_batch, pos, depth);
+            Self::module_records(&inner, scope.micro_batch, &modules)
+        };
         self.prefetch_records(&ids);
     }
 

@@ -21,16 +21,23 @@
 //! * **conservation** — `staged == sealed + evicted + open`: every
 //!   staged byte is in exactly one of the sealed segments, the evicted
 //!   set (members consumed before their segment filled, served from
-//!   memory like a forwarding hit), or the still-open segment.
+//!   memory like a forwarding hit), or the still-open segments — which
+//!   include *held* ones (see below).
 //! * **identity** — a sealed segment's entries sum to its byte total,
 //!   every entry carries the segment's class, and a record id appears
 //!   in at most one open or sealed segment.
 //!
+//! A sealed segment the cache decides not to submit yet is handed back
+//! with [`WriteCoalescer::hold`]: it takes no new members, its bytes
+//! count as open again, its members can still be evicted, and the next
+//! [`WriteCoalescer::seal_tier`] / [`WriteCoalescer::seal_all`] seals it
+//! (under a fresh id) ahead of the tier's open segments.
+//!
 //! The coalescer is a passive data structure: the cache drives staging,
-//! eviction and sealing, owns the sealed-segment lifecycle (submit →
-//! commit / recover), and holds the lock. Disabled (`segment_bytes ==
-//! 0`) it stages nothing and the cache takes the classic
-//! one-job-per-tensor path.
+//! eviction, holding and sealing, owns the sealed-segment lifecycle
+//! (submit → commit / recover), and holds the lock. Disabled
+//! (`segment_bytes == 0`) it stages nothing and the cache takes the
+//! classic one-job-per-tensor path.
 
 use crate::placement::OffloadClass;
 use crate::tier::TierId;
@@ -98,6 +105,8 @@ pub struct WriteCoalescer {
     segment_bytes: u64,
     next_id: u64,
     open: HashMap<(TierId, OffloadClass), OpenSegment>,
+    /// Segments sealed and then held back unsubmitted, in hold order.
+    held: Vec<SealedSegment>,
     total: CoalesceCounts,
     by_tier: HashMap<TierId, CoalesceCounts>,
     by_class: HashMap<usize, CoalesceCounts>,
@@ -110,6 +119,7 @@ impl WriteCoalescer {
             segment_bytes,
             next_id: 0,
             open: HashMap::new(),
+            held: Vec::new(),
             total: CoalesceCounts::default(),
             by_tier: HashMap::new(),
             by_class: HashMap::new(),
@@ -159,26 +169,45 @@ impl WriteCoalescer {
         }
     }
 
-    /// Removes a staged record from its tier's open segments (the record
-    /// was consumed, forwarded or released before its segment filled).
-    /// Returns its entry, or `None` when the record is not staged there.
+    /// Removes a staged record from its tier's open or held segments (the
+    /// record was consumed, forwarded or released before its segment was
+    /// submitted). Returns its entry, or `None` when the record is not
+    /// staged there.
     pub fn evict(&mut self, tier: TierId, record: u64) -> Option<SegmentEntry> {
-        let (open, pos) = self
+        let open = self
             .open
             .iter_mut()
             .filter(|((t, _), _)| *t == tier)
             .find_map(|(_, o)| {
                 let pos = o.entries.iter().position(|e| e.record == record)?;
-                Some((o, pos))
-            })?;
-        let entry = open.entries.remove(pos);
-        open.bytes -= entry.bytes;
+                let entry = o.entries.remove(pos);
+                o.bytes -= entry.bytes;
+                Some(entry)
+            });
+        let entry = match open {
+            Some(entry) => entry,
+            None => self.evict_held(tier, record)?,
+        };
         self.total.evicted_bytes += entry.bytes;
         self.by_tier.entry(tier).or_default().evicted_bytes += entry.bytes;
         self.by_class
             .entry(entry.class.index())
             .or_default()
             .evicted_bytes += entry.bytes;
+        Some(entry)
+    }
+
+    /// Removes `record` from the tier's held segments, dropping a held
+    /// segment it leaves empty.
+    fn evict_held(&mut self, tier: TierId, record: u64) -> Option<SegmentEntry> {
+        let (i, pos) = self.held.iter().enumerate().find_map(|(i, h)| {
+            let pos = h.entries.iter().position(|e| e.record == record)?;
+            (h.tier == tier).then_some((i, pos))
+        })?;
+        let entry = self.held[i].entries.remove(pos);
+        if self.held[i].entries.is_empty() {
+            self.held.remove(i);
+        }
         Some(entry)
     }
 
@@ -192,71 +221,130 @@ impl WriteCoalescer {
             return None;
         }
         let entries = std::mem::take(&mut open.entries);
-        let bytes = std::mem::replace(&mut open.bytes, 0);
+        open.bytes = 0;
         let id = self.next_id;
         self.next_id += 1;
-        self.total.sealed_bytes += bytes;
-        self.total.segments += 1;
-        self.total.entries_sealed += entries.len() as u64;
-        {
-            let t = self.by_tier.entry(tier).or_default();
-            t.sealed_bytes += bytes;
-            t.segments += 1;
-            t.entries_sealed += entries.len() as u64;
-        }
-        for e in &entries {
-            let c = self.by_class.entry(e.class.index()).or_default();
-            c.sealed_bytes += e.bytes;
-            c.entries_sealed += 1;
-        }
-        Some(SealedSegment {
+        let seg = SealedSegment {
             id,
             tier,
             class,
             entries,
-        })
+        };
+        self.count_sealed(&seg, false);
+        Some(seg)
     }
 
-    /// Seals every non-empty open segment of one tier, in class order.
+    /// Hands a segment [`WriteCoalescer::seal`] returned back unsubmitted:
+    /// its seal is uncounted and it waits, closed to new members, for
+    /// eviction or the tier's next [`WriteCoalescer::seal_tier`].
+    pub fn hold(&mut self, seg: SealedSegment) {
+        self.count_sealed(&seg, true);
+        self.held.push(seg);
+    }
+
+    /// Books `seg` into the sealed counters, or back out with `undo`.
+    fn count_sealed(&mut self, seg: &SealedSegment, undo: bool) {
+        let book = |counts: &mut CoalesceCounts, bytes: u64, entries: u64, segments: u64| {
+            if undo {
+                counts.sealed_bytes -= bytes;
+                counts.entries_sealed -= entries;
+                counts.segments -= segments;
+            } else {
+                counts.sealed_bytes += bytes;
+                counts.entries_sealed += entries;
+                counts.segments += segments;
+            }
+        };
+        let (bytes, entries) = (seg.total_bytes(), seg.entries.len() as u64);
+        book(&mut self.total, bytes, entries, 1);
+        book(self.by_tier.entry(seg.tier).or_default(), bytes, entries, 1);
+        for e in &seg.entries {
+            book(
+                self.by_class.entry(e.class.index()).or_default(),
+                e.bytes,
+                1,
+                0,
+            );
+        }
+    }
+
+    /// Seals every held segment of one tier (in hold order, each under a
+    /// fresh id), then every non-empty open one, in class order.
     pub fn seal_tier(&mut self, tier: TierId) -> Vec<SealedSegment> {
-        OffloadClass::ALL
-            .iter()
-            .filter_map(|c| self.seal(tier, *c))
-            .collect()
+        let (held, kept): (Vec<SealedSegment>, _) = std::mem::take(&mut self.held)
+            .into_iter()
+            .partition(|h| h.tier == tier);
+        self.held = kept;
+        let mut sealed: Vec<SealedSegment> = held
+            .into_iter()
+            .map(|mut seg| {
+                seg.id = self.next_id;
+                self.next_id += 1;
+                self.count_sealed(&seg, false);
+                seg
+            })
+            .collect();
+        sealed.extend(OffloadClass::ALL.iter().filter_map(|c| self.seal(tier, *c)));
+        sealed
     }
 
-    /// Seals every non-empty open segment, in (tier, class) order.
+    /// Seals every held and non-empty open segment, in (tier, class)
+    /// order.
     pub fn seal_all(&mut self) -> Vec<SealedSegment> {
         let mut tiers: Vec<TierId> = self
             .open
             .iter()
             .filter(|(_, o)| !o.entries.is_empty())
             .map(|((t, _), _)| *t)
+            .chain(self.held.iter().map(|h| h.tier))
             .collect();
         tiers.sort();
         tiers.dedup();
         tiers.into_iter().flat_map(|t| self.seal_tier(t)).collect()
     }
 
-    /// Bytes currently staged in the tier's open segments.
+    /// Bytes currently staged in the tier's open and held segments.
     pub fn open_bytes(&self, tier: TierId) -> u64 {
-        self.open
+        let open: u64 = self
+            .open
             .iter()
             .filter(|((t, _), _)| *t == tier)
             .map(|(_, o)| o.bytes)
-            .sum()
+            .sum();
+        let held: u64 = self
+            .held
+            .iter()
+            .filter(|h| h.tier == tier)
+            .map(SealedSegment::total_bytes)
+            .sum();
+        open + held
     }
 
-    /// Bytes staged across every open segment.
+    /// Bytes staged across every open and held segment.
     pub fn total_open_bytes(&self) -> u64 {
-        self.open.values().map(|o| o.bytes).sum()
+        let held: u64 = self.held.iter().map(SealedSegment::total_bytes).sum();
+        self.open.values().map(|o| o.bytes).sum::<u64>() + held
     }
 
-    /// Whether `record` is staged in one of the tier's open segments.
+    /// The members of the open segment of one (tier, class), in staging
+    /// order.
+    pub fn open_entries(&self, tier: TierId, class: OffloadClass) -> &[SegmentEntry] {
+        self.open
+            .get(&(tier, class))
+            .map_or(&[], |o| o.entries.as_slice())
+    }
+
+    /// Whether `record` is staged in one of the tier's open or held
+    /// segments.
     pub fn is_staged(&self, tier: TierId, record: u64) -> bool {
+        let member = |entries: &[SegmentEntry]| entries.iter().any(|e| e.record == record);
         self.open
             .iter()
-            .any(|((t, _), o)| *t == tier && o.entries.iter().any(|e| e.record == record))
+            .any(|((t, _), o)| *t == tier && member(&o.entries))
+            || self
+                .held
+                .iter()
+                .any(|h| h.tier == tier && member(&h.entries))
     }
 
     /// Global conservation counters.
@@ -380,6 +468,34 @@ mod tests {
         assert!(c.seal(t, OffloadClass::Activation).is_none());
         assert!(c.seal_tier(t).is_empty());
         assert!(c.seal_all().is_empty());
+    }
+
+    #[test]
+    fn a_held_segment_stays_open_until_evicted_or_resealed() {
+        let t = tier0();
+        let mut c = WriteCoalescer::new(100);
+        assert!(c.stage(t, 1, 60, OffloadClass::Activation).is_none());
+        let seg = c.stage(t, 2, 60, OffloadClass::Activation).expect("seal");
+        c.hold(seg);
+        assert_eq!(c.counts().segments, 0, "a held segment is not sealed");
+        assert_eq!(c.open_bytes(t), 120);
+        assert!(c.is_staged(t, 2));
+        assert!(c.open_entries(t, OffloadClass::Activation).is_empty());
+        c.stage(t, 3, 10, OffloadClass::Activation);
+        assert_eq!(c.evict(t, 1).map(|e| e.bytes), Some(60));
+        let sealed = c.seal_all();
+        assert_eq!(sealed.len(), 2, "the held remainder, then the open segment");
+        assert_eq!(sealed[0].entries.len(), 1);
+        assert_eq!(sealed[0].entries[0].record, 2);
+        assert!(sealed[0].id > 0 && sealed[1].id > sealed[0].id);
+        assert_eq!(c.total_open_bytes(), 0);
+        let counts = c.counts();
+        assert_eq!(counts.segments, 2);
+        assert_eq!(
+            counts.staged_bytes,
+            counts.sealed_bytes + counts.evicted_bytes
+        );
+        assert_eq!(counts.entries_sealed, 2);
     }
 
     #[test]

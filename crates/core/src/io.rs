@@ -378,11 +378,7 @@ impl IoEngine {
         let link = link.min(self.links.len() - 1);
         let l = &self.links[link];
         let now = self.clock.now();
-        let eff_bps = match &self.bus {
-            Some(bus) => l.write_bps.min(bus.write_bps),
-            None => l.write_bps,
-        };
-        let overhead = *self.store_overhead.lock();
+        let dur_secs = self.store_secs(link, bytes);
         let id = {
             let mut q = l.writes.lock();
             let prev_end = q
@@ -393,7 +389,6 @@ impl IoEngine {
                 .map(|j| j.end)
                 .unwrap_or(SimTime::ZERO);
             let start = now.max(prev_end);
-            let dur_secs = overhead + bytes as f64 * q.slowdown / eff_bps;
             let end = start.plus_secs(dur_secs);
             q.jobs.push(WriteJob {
                 bytes,
@@ -413,6 +408,34 @@ impl IoEngine {
             self.reflow_bus(bus);
         }
         id
+    }
+
+    /// When a store of `bytes` submitted on `link` now would end, without
+    /// submitting it: the same FIFO pricing [`IoEngine::submit_store_to`]
+    /// applies (behind the link's queue, or behind every link's under a
+    /// shared write bus).
+    pub fn store_end_if_submitted(&self, link: usize, bytes: u64) -> SimTime {
+        let link = link.min(self.links.len() - 1);
+        let queued_until = match &self.bus {
+            Some(_) => self.writes_drain_at(),
+            None => self.writes_drain_at_on(link),
+        };
+        self.clock
+            .now()
+            .max(queued_until)
+            .plus_secs(self.store_secs(link, bytes))
+    }
+
+    /// Transfer seconds of a `bytes` store on `link` at the current
+    /// slowdown, per-job overhead included.
+    fn store_secs(&self, link: usize, bytes: u64) -> f64 {
+        let l = &self.links[link];
+        let eff_bps = match &self.bus {
+            Some(bus) => l.write_bps.min(bus.write_bps),
+            None => l.write_bps,
+        };
+        let slowdown = l.writes.lock().slowdown;
+        *self.store_overhead.lock() + bytes as f64 * slowdown / eff_bps
     }
 
     /// Reschedules every live store across every link in global
@@ -915,6 +938,24 @@ mod tests {
         assert!(io.try_cancel_store(b, SimTime::from_secs(0.5)));
         // c keeps its 0.5 s overhead after pulling forward.
         assert_eq!(io.store_end(c).as_secs(), 3.0);
+    }
+
+    #[test]
+    fn a_forecast_store_end_matches_the_submitted_job() {
+        let (clock, io) = bus_engine();
+        io.set_store_job_overhead(0.25);
+        io.submit_store_to(0, 1_000_000_000);
+        clock.advance_by(0.5);
+        for link in 0..2 {
+            let forecast = io.store_end_if_submitted(link, 500_000_000);
+            let job = io.submit_store_to(link, 500_000_000);
+            assert_eq!(forecast, io.store_end(job));
+        }
+        let (clock, io) = tiered_engine();
+        io.submit_store_to(1, 1_000_000_000);
+        clock.advance_by(0.25);
+        let forecast = io.store_end_if_submitted(0, 1_000_000_000);
+        assert_eq!(forecast, io.store_end(io.submit_store_to(0, 1_000_000_000)));
     }
 
     #[test]

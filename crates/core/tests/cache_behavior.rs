@@ -2,8 +2,10 @@
 //! numerics equivalence, memory reclaim, forwarding, deduplication,
 //! parameter exclusion, stall accounting and adaptive profiling.
 
-use ssdtrain::{CpuTarget, IoEngine, OffloadTarget, SsdTarget, TensorCache, TensorCacheConfig};
-use ssdtrain_autograd::{ops, ExecObserver, Graph, OpCost, Phase, Var};
+use ssdtrain::{
+    CpuTarget, IoEngine, OffloadTarget, SsdTarget, StageHint, TensorCache, TensorCacheConfig,
+};
+use ssdtrain_autograd::{ops, ExecObserver, Graph, OpCost, Phase, SavedTensorHooks, Var};
 use ssdtrain_simhw::{GpuMemory, SimClock, WearMeter};
 use ssdtrain_tensor::{Device, MemClass, Prng, Tensor};
 use std::sync::Arc;
@@ -225,6 +227,78 @@ fn slow_stores_are_forwarded_and_queued_ones_cancelled() {
     // Forwarding means no reload traffic for those tensors and no stall.
     assert_eq!(stats.sync_loads + stats.prefetches, 0, "{stats:?}");
     assert!(w1.grad().is_some() && w2.grad().is_some());
+}
+
+#[test]
+fn forwarding_a_queued_segment_member_reseals_the_segment() {
+    // Two 2-member segments seal at the threshold; the second queues
+    // behind the first on a slow link. Consuming one of its members
+    // before the drain forwards it from memory: the queued segment is
+    // re-sealed without that member, so its bytes leave the store
+    // account and every offloaded byte is one the tier wrote.
+    let cfg = TensorCacheConfig {
+        coalesce_segment_bytes: 512,
+        ..offload_all_config()
+    };
+    let r = rig(cfg, 1e3, 1e9, 0.0);
+    r.cache.begin_step();
+    let packed: Vec<_> = (0..4)
+        .map(|i| {
+            let t = Tensor::from_vec(vec![i as f32; 64], [8, 8], &r.dev);
+            r.cache.pack(&t)
+        })
+        .collect();
+    assert_eq!(r.cache.stats().coalesce_segments, 2);
+    let t = r.cache.unpack(&packed[2]);
+    assert_eq!(t.to_vec(), vec![2.0; 64], "forwarded from memory");
+    drop(t);
+    let stats = r.cache.stats();
+    assert_eq!((stats.forwarded, stats.cancelled_stores), (1, 1));
+    assert_eq!(stats.store_jobs, 2, "the remaining member rides a new job");
+    assert_eq!(stats.offloaded_bytes, 3 * 256);
+    r.cache.drain_stores();
+    r.cache.flush();
+    let stats = r.cache.stats();
+    let written: u64 = stats.tiers.iter().map(|t| t.bytes_written).sum();
+    assert_eq!(written, stats.offloaded_bytes);
+    assert_eq!(r.cache.io().bytes_written(), stats.offloaded_bytes);
+}
+
+#[test]
+fn the_opening_window_stays_in_memory_once_a_step_forecasts_it() {
+    // Per-module prefetch of depth 1: the backward's opening window is
+    // `l1`'s two saved activations. Segments seal at three records, so
+    // the first window record would share a segment with `l0`'s records
+    // unless the boundary seals the open segment first. On the first step
+    // (no forecast) only the still-staged window record is withdrawn at
+    // the forward exit; from the second step the whole window is.
+    let cfg = TensorCacheConfig {
+        coalesce_segment_bytes: 3 * 128,
+        prefetch_depth: 1,
+        ..offload_all_config()
+    };
+    let r = rig(cfg, 1e9, 1e9, 1e-3);
+    let (w1t, w2t, xt) = init_weights(&r.dev, 29);
+    let w1 = Var::new("w1", w1t);
+    let w2 = Var::new("w2", w2t);
+    let mut forwarded = Vec::new();
+    for _ in 0..3 {
+        r.cache.begin_step();
+        r.graph.reset_tape();
+        r.graph.set_phase(Phase::Forward);
+        r.cache.register_parameter(&w1.tensor());
+        r.cache.register_parameter(&w2.tensor());
+        let loss = {
+            let _forward = r.cache.stage_scope(StageHint::Forward);
+            two_layer_forward(&r.graph, &xt, &w1, &w2)
+        };
+        r.cache.prefetch_last_module();
+        r.graph.backward(&loss);
+        r.cache.wait_io();
+        let stats = r.cache.stats();
+        forwarded.push((stats.forwarded_bytes, stats.offloaded_bytes));
+    }
+    assert_eq!(forwarded, vec![(128, 384), (256, 256), (256, 256)]);
 }
 
 #[test]

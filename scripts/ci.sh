@@ -39,6 +39,17 @@ cargo run -q -p ssdtrain-bench --release --bin bench_io
 # The bench reports must keep the backends' step times distinct and
 # ordered, and the I/O and capacity gates green (see the script header).
 scripts/bench_check.sh
+# The repo benchmark (perfbench/, its own package) on the workload that
+# exercises the coalesced store path: its result line must report
+# `"correct": true` — per-class byte conservation and identical
+# steady-state steps — with no failed step.
+result=$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml \
+  --target-dir target/perfbench -- \
+  --workload smallblock-mixed --seed 1 --seconds 1 --trace 0 | tail -n 1)
+case "$result" in
+  *'"correct": true'*'"failed": 0,'*) ;;
+  *) echo "perfbench smallblock-mixed is not correct: $result" >&2; exit 1 ;;
+esac
 cargo clippy --workspace -- -D warnings
 # Project-invariant lint: sim-clock, panic-freedom, error discipline and
 # the flow rules (see DESIGN.md §7). Exits non-zero on any violation.

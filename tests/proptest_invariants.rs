@@ -744,7 +744,7 @@ proptest! {
     #[test]
     fn coalescer_conserves_bytes_per_tier_and_class(
         ops in prop::collection::vec(
-            (0usize..3, 1u64..4_000_000, 0usize..3, any::<bool>()),
+            (0usize..3, 1u64..4_000_000, 0usize..3, any::<bool>(), any::<bool>()),
             1..80,
         ),
         segment in 1u64..8_000_000,
@@ -760,11 +760,17 @@ proptest! {
         let mut sealed_bytes = 0u64;
         let mut evicted_bytes = 0u64;
         let mut staged = Vec::new(); // (tier, record) currently open
-        for (i, (t, bytes, class, evict_one)) in ops.iter().enumerate() {
+        for (i, (t, bytes, class, evict_one, hold)) in ops.iter().enumerate() {
             let tier = tiers[*t];
             let class = OffloadClass::ALL[*class];
             let record = i as u64;
-            if let Some(seg) = c.stage(tier, record, *bytes, class) {
+            let sealed = c.stage(tier, record, *bytes, class);
+            if let Some(seg) = sealed.clone().filter(|_| *hold) {
+                // A held segment's members stay staged (and evictable)
+                // until the final seal_all.
+                staged.push((tier, record));
+                c.hold(seg);
+            } else if let Some(seg) = sealed {
                 // A sealed segment's entry sum is its total, every
                 // entry belongs to the tier it sealed on, and its
                 // members leave the open set.

@@ -8,7 +8,7 @@
 //! the step collapses back to the compute-bound time, bit-identically
 //! across link speeds.
 
-use ssdtrain::PlacementStrategy;
+use ssdtrain::{OffloadClass, PlacementStrategy};
 use ssdtrain_models::{Arch, ModelConfig};
 use ssdtrain_simhw::SystemConfig;
 use ssdtrain_train::{OffloadBackend, SessionConfig, StepMetrics, TrainSession};
@@ -156,6 +156,76 @@ fn tier_stall_counters_decompose_the_store_stall() {
             t.bytes_written == 0 || t.write_busy_secs > 0.0,
             "tier {} wrote bytes but reports no link busy time",
             t.name
+        );
+    }
+}
+
+/// Step time of the third step of BERT H2048 L8 (B8) on `backend` over
+/// `system`, coalesced into 256 MiB segments with a 2×2 group prefetch:
+/// from the second step the coalesced path holds the backward's opening
+/// window in memory, so the measured step runs with the hold engaged.
+fn coalesced_step(backend: OffloadBackend, system: SystemConfig) -> StepMetrics {
+    let cfg = SessionConfig::builder()
+        .system(system)
+        .model(ModelConfig::paper_scale(Arch::Bert, 2048, 8).with_tp(2))
+        .batch_size(8)
+        .strategy(PlacementStrategy::Offload)
+        .symbolic(true)
+        .seed(42)
+        .backend(backend)
+        .coalesce_segment(256 << 20)
+        .prefetch_group(2)
+        .prefetch_depth(2)
+        .build()
+        .expect("valid config");
+    let mut session = TrainSession::new(cfg).expect("session");
+    for _ in 0..2 {
+        session.run_step().expect("warm-up step");
+    }
+    session.run_step().expect("measured step")
+}
+
+#[test]
+fn slowing_the_links_never_speeds_a_coalesced_step() {
+    // The hold decision depends on the forward order and the forecast
+    // forward length only, so a slower link can only add held bytes:
+    // per backend, the step time never falls as every offload-path link
+    // slows down. Backends are not compared with each other here.
+    for backend in [
+        OffloadBackend::Ssd,
+        OffloadBackend::Dram,
+        OffloadBackend::Tiered {
+            dram_bytes: 1 << 30,
+        },
+    ] {
+        let mut prev: Option<(f64, f64)> = None;
+        let mut forwarded = 0;
+        for f in [8.0, 4.0, 2.0, 1.0, 0.5, 0.25] {
+            let m = coalesced_step(backend, scaled_testbed(f));
+            forwarded += m.offload.forwarded;
+            // Group slabs are sized by what reloads, never by members the
+            // hold kept resident.
+            let reloaded = m
+                .offload
+                .class(OffloadClass::Activation)
+                .map_or(0, |c| c.reloaded_bytes);
+            assert!(
+                m.offload.prefetch_group_bytes <= reloaded,
+                "{backend:?} ×{f}: group bytes {} exceed reloads {reloaded}",
+                m.offload.prefetch_group_bytes
+            );
+            if let Some((pf, p)) = prev {
+                assert!(
+                    m.step_secs >= p,
+                    "{backend:?}: slowing the links ×{pf} → ×{f} sped the step up: {} < {p}",
+                    m.step_secs
+                );
+            }
+            prev = Some((f, m.step_secs));
+        }
+        assert!(
+            forwarded > 0,
+            "{backend:?}: the grid must reach the opening-window hold"
         );
     }
 }

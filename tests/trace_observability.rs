@@ -18,7 +18,7 @@ use ssdtrain::{
 };
 use ssdtrain_models::ModelConfig;
 use ssdtrain_simhw::{FaultKind, FaultPlan, FaultTrigger, SystemConfig};
-use ssdtrain_train::{OffloadBackend, SessionConfig, TrainSession};
+use ssdtrain_train::{OffloadBackend, SessionBuilder, SessionConfig, TrainSession};
 use std::collections::BTreeSet;
 use std::path::Path;
 
@@ -338,8 +338,21 @@ fn coalesced_state_session(
     fault: Option<FaultPlan>,
     fallback: Option<OffloadBackend>,
 ) -> TrainSession {
+    let builder = coalesced_state_builder(1 << 20, sink, recovery, fault, fallback);
+    TrainSession::new(builder.build().expect("valid config")).expect("session")
+}
+
+/// The configuration of [`coalesced_state_session`] with segments of
+/// `segment_bytes`.
+fn coalesced_state_builder(
+    segment_bytes: u64,
+    sink: TraceSink,
+    recovery: RecoveryPolicy,
+    fault: Option<FaultPlan>,
+    fallback: Option<OffloadBackend>,
+) -> SessionBuilder {
     let mut cache = TensorCacheConfig::offload_everything();
-    cache.coalesce_segment_bytes = 1 << 20;
+    cache.coalesce_segment_bytes = segment_bytes;
     cache.prefetch_group_modules = 2;
     let mut builder = SessionConfig::builder()
         .model(ModelConfig::tiny_gpt())
@@ -359,7 +372,7 @@ fn coalesced_state_session(
     if let Some(fb) = fallback {
         builder = builder.fallback(fb);
     }
-    TrainSession::new(builder.build().expect("valid config")).expect("session")
+    builder
 }
 
 #[test]
@@ -404,6 +417,89 @@ fn trace_accounting_closes_per_class_on_the_coalesced_state_path() {
             assert_eq!(
                 recovered, faulted,
                 "{recovery:?}: {class} recovery events iff the fault plan fired"
+            );
+        }
+    }
+}
+
+#[test]
+fn trace_accounting_closes_while_the_opening_window_is_held() {
+    // A write link slow enough that the backward's opening window cannot
+    // land before the forward ends: from the second step on, the
+    // coalesced path holds those segments and the forward exit forwards
+    // their members instead of writing and re-reading them. The store
+    // identity must still close, globally and per class, healthy and
+    // under every write-fault trigger both absorbing policies handle.
+    let mut sys = SystemConfig::dac_testbed();
+    sys.ssd_array.member.write_bps = 1e6;
+    let mut plans = vec![("healthy", None)];
+    plans.extend(
+        [
+            (
+                "nth-op",
+                FaultTrigger::NthOp { nth: 0 },
+                FaultKind::WriteError,
+            ),
+            (
+                "byte-threshold",
+                FaultTrigger::ByteThreshold { bytes: 1 },
+                FaultKind::WriteError,
+            ),
+            (
+                "wear-fraction",
+                FaultTrigger::WearFraction { fraction: 0.0 },
+                FaultKind::EnduranceExhausted,
+            ),
+            (
+                "random",
+                FaultTrigger::Random { prob: 1.0 },
+                FaultKind::WriteError,
+            ),
+        ]
+        .map(|(name, trigger, kind)| (name, Some(FaultPlan::new(7).with_fault(trigger, kind)))),
+    );
+    plans.push((
+        "recurring",
+        Some(FaultPlan::new(42).with_recurring_fault(
+            FaultTrigger::ByteThreshold { bytes: 16 << 10 },
+            FaultKind::WriteError,
+        )),
+    ));
+    for (name, plan) in plans {
+        for (recovery, fallback) in [
+            (RecoveryPolicy::KeepResident, None),
+            (RecoveryPolicy::FallbackTarget, Some(OffloadBackend::Dram)),
+        ] {
+            let sink = TraceSink::enabled();
+            let cfg =
+                coalesced_state_builder(16 << 10, sink.clone(), recovery, plan.clone(), fallback)
+                    .system(sys.clone())
+                    .build()
+                    .expect("valid config");
+            let mut s = TrainSession::new(cfg).expect("session");
+            let per_step: Vec<OffloadStats> = (0..4)
+                .map(|_| s.run_step().expect("step").offload)
+                .collect();
+            let events = sink.events();
+            assert_accounting(&events, &per_step);
+            assert_class_accounting(&events, &per_step);
+            for (i, stats) in per_step.iter().enumerate().skip(1) {
+                assert!(
+                    stats.forwarded > 0,
+                    "{name}/{recovery:?}: step {} forwards the window",
+                    i + 1
+                );
+            }
+            assert!(
+                events
+                    .iter()
+                    .any(|e| e.step > 1 && e.name == "coalesce.hold"),
+                "{name}/{recovery:?}: a window segment must be held"
+            );
+            assert_eq!(
+                per_step.iter().any(|m| m.store_failures > 0),
+                plan.is_some(),
+                "{name}/{recovery:?}: stores fail iff a fault is planned"
             );
         }
     }
