@@ -219,6 +219,15 @@ struct Inner {
     /// The previous step's windows, per micro-batch; empty on the first
     /// step, so nothing is held then.
     forecast: HashMap<usize, WindowForecast>,
+    /// Bytes of every class admitted into the tier stack this step,
+    /// counted at admission (records later forwarded, cancelled or
+    /// withdrawn included); `None` until the first step begins.
+    admitted: Option<u64>,
+    /// Where optimizer state goes this step: the deepest placement tier
+    /// when the previous step's `admitted` overran the bounded front
+    /// tier, `None` (front first) otherwise. The forecast does not
+    /// depend on where that state went, so it cannot oscillate.
+    state_tier: Option<TierId>,
 }
 
 impl Default for Inner {
@@ -242,6 +251,8 @@ impl Default for Inner {
             fwd_stage_enter: SimTime::ZERO,
             next_forecast: HashMap::new(),
             forecast: HashMap::new(),
+            admitted: None,
+            state_tier: None,
         }
     }
 }
@@ -503,8 +514,14 @@ impl TensorCache {
         *self.coalescer.lock() = WriteCoalescer::new(self.config.coalesce_segment_bytes);
         self.arena.begin_step();
         *self.arena_base.lock() = self.arena.stats();
+        let tiers = self.tiers.placement_tiers();
         let mut inner = self.inner.lock();
         inner.forecast = std::mem::take(&mut inner.next_forecast);
+        inner.state_tier = inner.admitted.replace(0).and_then(|demand| {
+            let (front, back) = (tiers.first()?, tiers.last()?);
+            let contended = front.capacity_bytes.is_some_and(|cap| demand > cap);
+            (contended && back.tier != front.tier).then_some(back.tier)
+        });
         inner.stack.clear();
         inner.scopes.clear();
         inner.forward_order.clear();
@@ -1122,6 +1139,13 @@ impl TensorCache {
     /// tensor stays resident — placement keep, full tiers, or a failed
     /// write absorbed by recovery.
     ///
+    /// Admission walks the tiers front first, with one exception:
+    /// [`OffloadClass::OptimizerState`] is re-offloaded at the step top
+    /// and read only at the next one, so when the previous step admitted
+    /// more bytes (every class) than the bounded front tier holds, it
+    /// prefers the deepest placement tier and leaves the front one to
+    /// activations.
+    ///
     /// The store job rides the admitting tier's [`crate::TierLink`] (and
     /// the shared write bus, when configured) — with
     /// [`TensorCacheConfig::coalesce_segment_bytes`] set, as part of a
@@ -1146,11 +1170,19 @@ impl TensorCache {
             return None;
         }
         let bytes = tensor.bytes();
-        let Some(placement) = self.tiers.reserve(bytes) else {
+        let mut inner = self.inner.lock();
+        let preferred = inner
+            .state_tier
+            .filter(|_| class == OffloadClass::OptimizerState);
+        let placement = match preferred {
+            Some(tier) => self.tiers.reserve_preferring(tier, bytes),
+            None => self.tiers.reserve(bytes),
+        };
+        let Some(placement) = placement else {
+            drop(inner);
             self.refuse_full(bytes);
             return None;
         };
-        let mut inner = self.inner.lock();
         let (id, _) = self.admit(
             &mut inner,
             tensor,
@@ -1331,6 +1363,9 @@ impl TensorCache {
         };
         let id = inner.next_id;
         inner.next_id += 1;
+        if let Some(admitted) = inner.admitted.as_mut() {
+            *admitted += bytes;
+        }
         inner.records.insert(
             id,
             Record {

@@ -23,7 +23,9 @@
 //!   links and the shared write bus while the forward runs, so the
 //!   overlap's contention with activation offloading is priced rather
 //!   than assumed free. Numerics are unchanged: the deferred update
-//!   still lands before the next forward touches the weights.
+//!   still lands before the next forward touches the weights. The
+//!   gradients of a stage the forward reaches at once (stage 0) are
+//!   never stashed: their reload could hide behind nothing.
 //!
 //! [`SessionBuilder::overlap_optimizer`]: crate::builder::SessionBuilder::overlap_optimizer
 //! [`Sgd::step_range`]: ssdtrain_autograd::optim::Sgd::step_range
@@ -220,16 +222,32 @@ impl OptEngine {
         }
     }
 
+    /// Whether stage `j`'s gradients stay on the GPU across the step
+    /// boundary instead of being stashed: under overlap, a stage the
+    /// next forward reaches at once (forecast arrival 0) would reload
+    /// them at `t = 0` with nothing to hide behind, and they are resident
+    /// both when produced and when consumed, so keeping them lowers no
+    /// peak. The arrival fraction alone decides: it is 0 exactly when
+    /// `fwd_estimate · arrival_frac(j)` is 0 once a forward was measured,
+    /// and before that the missing estimate says nothing about order.
+    fn holds_grads(&self, j: usize) -> bool {
+        self.overlap && self.arrival_frac(j) == 0.0
+    }
+
     /// `ReduceGrads` hook: stashes the accumulated gradients through the
-    /// tier stack (when the gradient class is enabled). The store jobs
-    /// drain at the enclosing stage scope's exit, so their cost lands on
-    /// the step that produced the gradients.
+    /// tier stack (when the gradient class is enabled), except those of
+    /// the stages [`OptEngine::holds_grads`] keeps. The store jobs drain
+    /// at the enclosing stage scope's exit, so their cost lands on the
+    /// step that produced the gradients.
     pub fn stash_grads(&mut self, cache: Option<&TensorCache>, opt: &Sgd) {
         let Some(cache) = cache else { return };
         if !self.classes.contains(OffloadClass::Gradient) {
             return;
         }
         for (j, range) in self.ranges.iter().enumerate() {
+            if self.holds_grads(j) {
+                continue;
+            }
             for i in range.clone() {
                 let Some(p) = opt.params().get(i) else {
                     continue;

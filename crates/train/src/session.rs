@@ -16,7 +16,7 @@ use ssdtrain_autograd::{Graph, Phase};
 use ssdtrain_models::{Batch, Model, ModelConfig, Recompute};
 use ssdtrain_simhw::system::GpuRuntime;
 use ssdtrain_simhw::{FaultLog, FaultPlan, SimTime, SystemConfig};
-use ssdtrain_tensor::Device;
+use ssdtrain_tensor::{Device, MemClass, MemTracker};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -480,6 +480,7 @@ impl TrainSession {
         }
         self.runtime.reset();
         self.executor.reset();
+        self.register_carried_grads();
         self.trace.next_step();
         self.trace.instant(
             TraceCategory::Session,
@@ -520,6 +521,26 @@ impl TrainSession {
         }
     }
 
+    /// Registers the gradients still resident from the previous step as
+    /// one allocation at `t = 0`. [`GpuRuntime::reset`] zeroed the
+    /// memory counters, so without it their free at the deferred update
+    /// would drive the running total negative and the step's peak would
+    /// miss them. Gradients stay resident across the boundary when the
+    /// overlapped update holds them or placement refused them.
+    fn register_carried_grads(&self) {
+        let bytes: u64 = self
+            .optimizer
+            .params()
+            .iter()
+            .filter_map(|p| p.grad())
+            .filter(|g| g.storage().is_resident())
+            .map(|g| g.storage().bytes())
+            .sum();
+        if bytes > 0 {
+            self.runtime.memory.on_alloc(bytes, MemClass::Gradient);
+        }
+    }
+
     /// Maps a scheduler command to the hint the cache understands.
     fn recompute_policy(&self) -> Recompute {
         match self.cfg.strategy {
@@ -557,6 +578,7 @@ impl TrainSession {
     pub fn run_step(&mut self) -> Result<StepMetrics, StepError> {
         self.runtime.reset();
         self.executor.reset();
+        self.register_carried_grads();
         self.trace.next_step();
         self.trace.instant(
             TraceCategory::Session,

@@ -4,9 +4,12 @@
 //! performance decision, never a numerics one, and it must stay that
 //! way under injected faults for every recovery policy.
 
-use ssdtrain::{ArgValue, OffloadClass, RecoveryPolicy, TensorCacheConfig, TraceSink};
+use ssdtrain::{
+    ArgValue, OffloadClass, PlacementStrategy, RecoveryPolicy, TensorCacheConfig, TraceSink,
+};
 use ssdtrain_models::{Arch, ModelConfig};
-use ssdtrain_simhw::{FaultKind, FaultPlan, FaultTrigger};
+use ssdtrain_simhw::{FaultKind, FaultPlan, FaultTrigger, SystemConfig};
+use ssdtrain_train::schedule::stage_ranges;
 use ssdtrain_train::{OffloadBackend, SessionBuilder, SessionConfig, TrainSession};
 
 const STEPS: usize = 5;
@@ -317,6 +320,100 @@ fn coalesced_state_stays_bit_identical_and_stores_count_segments() {
         assert_eq!(
             got, reference,
             "overlap={overlap}: coalesced state drifted from the in-memory optimizer"
+        );
+    }
+}
+
+#[test]
+fn overlap_never_stores_the_opening_stage_gradients() {
+    // Under overlap the next forward reaches stage 0 at once, so its
+    // gradients stay on the GPU: a stashed copy could only reload with
+    // nothing to hide behind. Every other stage still stashes; the
+    // inline update stashes every stage.
+    let reference = losses(&mut in_memory(), STEPS);
+    for overlap in [false, true] {
+        let mut s = offloaded(overlap);
+        let params = s.model().parameters();
+        let layers = s.config().model.layers;
+        let opening = stage_ranges(params.len(), layers)[0].clone();
+        let bytes = |range: std::ops::Range<usize>| -> u64 {
+            params[range].iter().map(|p| p.tensor().bytes()).sum()
+        };
+        let all = bytes(0..params.len());
+        let stashed = if overlap {
+            all - bytes(opening.clone())
+        } else {
+            all
+        };
+        let mut got = Vec::new();
+        for step in 1..=STEPS {
+            let m = s.run_step().expect("step");
+            got.push(m.loss);
+            let grads = m.offload.class(OffloadClass::Gradient).expect("lane");
+            assert_eq!(
+                grads.offloaded_bytes, stashed,
+                "overlap={overlap} step {step}: gradient bytes stashed"
+            );
+            if overlap {
+                for p in &params[opening.clone()] {
+                    let grad = p.grad().expect("held for the deferred update");
+                    assert!(grad.storage().is_resident(), "{} was offloaded", p.name());
+                }
+            }
+        }
+        assert_eq!(got, reference, "overlap={overlap}: numerics");
+    }
+}
+
+#[test]
+fn gradients_carried_across_the_step_boundary_count_in_the_peak() {
+    // A host pool that refuses every write: recovery keeps each gradient
+    // on the GPU, and the deferred update frees it at the next step's
+    // start. The step must count those bytes as resident from t = 0, so
+    // its peak cannot fall below them.
+    let mut system = SystemConfig::dac_testbed();
+    system.host_mem_bytes = 0;
+    let cfg = SessionConfig::builder()
+        .system(system)
+        .model(ModelConfig {
+            arch: Arch::Gpt,
+            hidden: 1024,
+            layers: 2,
+            heads: 8,
+            vocab: 50304,
+            seq: 128,
+            dropout_p: 0.0,
+            fused_attention: true,
+            tp: 1,
+        })
+        .batch_size(1)
+        .symbolic(true)
+        .strategy(PlacementStrategy::Keep)
+        .backend(OffloadBackend::Dram)
+        .offload(OffloadClass::Gradient, true)
+        .overlap_optimizer(true)
+        .seed(3)
+        .build()
+        .expect("valid config");
+    let mut s = TrainSession::new(cfg).expect("session");
+    for step in 1..=3 {
+        let carried: u64 = s
+            .model()
+            .parameters()
+            .iter()
+            .filter_map(|p| p.grad())
+            .filter(|g| g.storage().is_resident())
+            .map(|g| g.storage().bytes())
+            .sum();
+        let m = s.run_step().expect("keep-resident absorbs the refusals");
+        assert!(
+            step == 1 || carried > 0,
+            "step {step}: the refused gradients must be carried"
+        );
+        assert!(
+            m.total_peak_bytes >= carried,
+            "step {step}: peak {} below the {carried} carried gradient bytes",
+            m.total_peak_bytes
         );
     }
 }

@@ -164,7 +164,10 @@ fn tier_stall_counters_decompose_the_store_stall() {
 /// `system`, coalesced into 256 MiB segments with a 2×2 group prefetch:
 /// from the second step the coalesced path holds the backward's opening
 /// window in memory, so the measured step runs with the hold engaged.
-fn coalesced_step(backend: OffloadBackend, system: SystemConfig) -> StepMetrics {
+/// With `state`, gradients and momentum ride the same stack and the
+/// update overlaps the next forward; the third step is then the first
+/// steady one (the second runs the first deferred update).
+fn coalesced_step(backend: OffloadBackend, system: SystemConfig, state: bool) -> StepMetrics {
     let cfg = SessionConfig::builder()
         .system(system)
         .model(ModelConfig::paper_scale(Arch::Bert, 2048, 8).with_tp(2))
@@ -176,6 +179,10 @@ fn coalesced_step(backend: OffloadBackend, system: SystemConfig) -> StepMetrics 
         .coalesce_segment(256 << 20)
         .prefetch_group(2)
         .prefetch_depth(2)
+        .offload(OffloadClass::Gradient, state)
+        .offload(OffloadClass::OptimizerState, state)
+        .overlap_optimizer(state)
+        .momentum(if state { 0.9 } else { 0.0 })
         .build()
         .expect("valid config");
     let mut session = TrainSession::new(cfg).expect("session");
@@ -188,44 +195,67 @@ fn coalesced_step(backend: OffloadBackend, system: SystemConfig) -> StepMetrics 
 #[test]
 fn slowing_the_links_never_speeds_a_coalesced_step() {
     // The hold decision depends on the forward order and the forecast
-    // forward length only, so a slower link can only add held bytes:
-    // per backend, the step time never falls as every offload-path link
-    // slows down. Backends are not compared with each other here.
-    for backend in [
-        OffloadBackend::Ssd,
-        OffloadBackend::Dram,
-        OffloadBackend::Tiered {
-            dram_bytes: 1 << 30,
-        },
-    ] {
-        let mut prev: Option<(f64, f64)> = None;
-        let mut forwarded = 0;
-        for f in [8.0, 4.0, 2.0, 1.0, 0.5, 0.25] {
-            let m = coalesced_step(backend, scaled_testbed(f));
-            forwarded += m.offload.forwarded;
-            // Group slabs are sized by what reloads, never by members the
-            // hold kept resident.
-            let reloaded = m
-                .offload
-                .class(OffloadClass::Activation)
-                .map_or(0, |c| c.reloaded_bytes);
-            assert!(
-                m.offload.prefetch_group_bytes <= reloaded,
-                "{backend:?} ×{f}: group bytes {} exceed reloads {reloaded}",
-                m.offload.prefetch_group_bytes
-            );
-            if let Some((pf, p)) = prev {
+    // forward length only, and the optimizer-state placement on the
+    // previous step's admitted bytes only, so a slower link can only add
+    // held bytes: per backend and input, the step time never falls as
+    // every offload-path link slows down. Backends are not ordered
+    // against each other here, with one exception: a front tier roomy
+    // enough for the whole step is never contended, places everything
+    // front first and must report exactly the dram backend's step.
+    const SCALES: [f64; 6] = [8.0, 4.0, 2.0, 1.0, 0.5, 0.25];
+    let roomy = OffloadBackend::Tiered {
+        dram_bytes: 64 << 30,
+    };
+    for state in [false, true] {
+        let mut steps = Vec::new();
+        for backend in [
+            OffloadBackend::Ssd,
+            OffloadBackend::Dram,
+            OffloadBackend::Tiered {
+                dram_bytes: 1 << 30,
+            },
+            roomy,
+        ] {
+            let mut prev: Option<(f64, f64)> = None;
+            let mut forwarded = 0;
+            let mut per_scale = Vec::new();
+            for f in SCALES {
+                let m = coalesced_step(backend, scaled_testbed(f), state);
+                forwarded += m.offload.forwarded;
+                // Group slabs are sized by what reloads, never by members
+                // the hold kept resident.
+                let reloaded = m
+                    .offload
+                    .class(OffloadClass::Activation)
+                    .map_or(0, |c| c.reloaded_bytes);
                 assert!(
-                    m.step_secs >= p,
-                    "{backend:?}: slowing the links ×{pf} → ×{f} sped the step up: {} < {p}",
-                    m.step_secs
+                    m.offload.prefetch_group_bytes <= reloaded,
+                    "{backend:?} state={state} ×{f}: group bytes {} exceed reloads {reloaded}",
+                    m.offload.prefetch_group_bytes
                 );
+                if let Some((pf, p)) = prev {
+                    assert!(
+                        m.step_secs >= p,
+                        "{backend:?} state={state}: slowing the links ×{pf} → ×{f} sped \
+                         the step up: {} < {p}",
+                        m.step_secs
+                    );
+                }
+                prev = Some((f, m.step_secs));
+                per_scale.push(m.step_secs);
             }
-            prev = Some((f, m.step_secs));
+            assert!(
+                forwarded > 0,
+                "{backend:?} state={state}: the grid must reach the opening-window hold"
+            );
+            steps.push((backend, per_scale));
         }
-        assert!(
-            forwarded > 0,
-            "{backend:?}: the grid must reach the opening-window hold"
+        let of = |b: OffloadBackend| steps.iter().find(|(k, _)| *k == b).map(|(_, s)| s);
+        assert_eq!(
+            of(roomy),
+            of(OffloadBackend::Dram),
+            "state={state}: the uncontended 64 GiB front tier must report dram's steps \
+             over ×{SCALES:?}"
         );
     }
 }

@@ -3,8 +3,8 @@
 //! backend (and against keeping activations resident), and the per-tier
 //! counters account exactly the traffic the flat design aggregated.
 
-use ssdtrain::{PlacementStrategy, TensorCacheConfig};
-use ssdtrain_models::ModelConfig;
+use ssdtrain::{OffloadClass, OffloadStats, PlacementStrategy, TensorCacheConfig};
+use ssdtrain_models::{Arch, ModelConfig};
 use ssdtrain_train::{OffloadBackend, SessionConfig, StepMetrics, TrainSession};
 
 const STEPS: usize = 3;
@@ -124,4 +124,86 @@ fn roomy_front_tier_keeps_the_ssd_idle() {
         assert_eq!(tiers[1].bytes_written, 0, "nothing reaches the ssd");
         assert_eq!(m.offload.spilled_bytes, 0);
     }
+}
+
+/// BERT H2048 L8 (B8) on `backend`, coalesced, with gradients and
+/// momentum offloaded and the update overlapped: `steps` steps.
+fn run_state_backend(backend: OffloadBackend, steps: usize) -> Vec<StepMetrics> {
+    let cfg = SessionConfig::builder()
+        .model(ModelConfig::paper_scale(Arch::Bert, 2048, 8).with_tp(2))
+        .batch_size(8)
+        .symbolic(true)
+        .seed(23)
+        .backend(backend)
+        .coalesce_segment(256 << 20)
+        .prefetch_group(2)
+        .prefetch_depth(2)
+        .offload(OffloadClass::Gradient, true)
+        .offload(OffloadClass::OptimizerState, true)
+        .overlap_optimizer(true)
+        .momentum(0.9)
+        .build()
+        .expect("valid config");
+    let mut s = TrainSession::new(cfg).expect("session");
+    (0..steps).map(|_| s.run_step().expect("step")).collect()
+}
+
+/// Bytes of `class` the step admitted into the tier stack, the cancelled
+/// ones included (only activations are cancelled or withdrawn here).
+fn admitted(m: &StepMetrics, class: OffloadClass) -> u64 {
+    let offloaded = m.offload.class(class).map_or(0, |c| c.offloaded_bytes);
+    match class {
+        OffloadClass::Activation => offloaded + m.offload.cancelled_bytes,
+        _ => offloaded,
+    }
+}
+
+#[test]
+fn momentum_placement_is_stable_on_a_contended_front_tier() {
+    // Measure one steady step's demand on a front tier that holds all of
+    // it: nothing is contended, so nothing reaches the ssd.
+    let roomy = run_state_backend(
+        OffloadBackend::Tiered {
+            dram_bytes: 64 << 30,
+        },
+        3,
+    );
+    let steady = &roomy[2];
+    assert_eq!(steady.offload.tiers[1].bytes_written, 0, "roomy: ssd idle");
+    let activations = admitted(steady, OffloadClass::Activation);
+    let state =
+        admitted(steady, OffloadClass::Gradient) + admitted(steady, OffloadClass::OptimizerState);
+    assert!(activations > 0 && state > 0);
+
+    // A front tier between the activation demand and the activation +
+    // state demand: contended, so momentum takes the ssd. The forecast
+    // reads admitted bytes, which do not depend on where momentum went,
+    // so consecutive steady steps are identical.
+    let front = activations + state / 2;
+    let metrics = run_state_backend(OffloadBackend::Tiered { dram_bytes: front }, 6);
+    for pair in metrics[2..].windows(2) {
+        let (a, b) = (&pair[0], &pair[1]);
+        assert_eq!(a.step_secs, b.step_secs, "step time drifted");
+        assert_eq!(a.total_peak_bytes, b.total_peak_bytes, "gpu peak drifted");
+        assert_eq!(
+            a.act_peak_bytes, b.act_peak_bytes,
+            "activation peak drifted"
+        );
+        assert_eq!(a.opt_exposed_secs, b.opt_exposed_secs, "exposure drifted");
+        // Slab reuses count over the arena's life, not per step.
+        let account = |m: &StepMetrics| OffloadStats {
+            arena_slab_reuses: 0,
+            ..m.offload.clone()
+        };
+        assert_eq!(account(a), account(b), "offload account drifted");
+    }
+    let last = &metrics[metrics.len() - 1];
+    assert!(
+        last.offload.tiers[1].bytes_written
+            >= last
+                .offload
+                .class(OffloadClass::OptimizerState)
+                .map_or(0, |c| c.offloaded_bytes),
+        "momentum must land on the back tier"
+    );
 }
