@@ -77,8 +77,13 @@ enum RecState {
     /// Consuming a staged record evicts it from the segment — forwarding
     /// that never even queued a job.
     Staged,
-    /// Store in flight; data still resident (release deferred).
-    Storing { job: JobId },
+    /// Store in flight on segment `seg`'s job; data still resident
+    /// (release deferred until the segment commits).
+    Storing { job: JobId, seg: u64 },
+    /// Consumed from memory after segment `seg`'s job started: the job
+    /// still carries the bytes, so commit writes them to the tier, but
+    /// the tensor stays resident.
+    Forwarded { seg: u64 },
     /// On the offload target; GPU memory already freed (at the store's
     /// completion time).
     Offloaded,
@@ -94,8 +99,8 @@ enum Lifetime {
     Step,
     /// Gradients and optimizer state: survive `flush` and `begin_step`
     /// until [`TensorCache::release_state`]. State has no forwarding
-    /// path, so a store commits as soon as its job is submitted (its
-    /// per-tensor job at admission, its segment's job at seal) and no
+    /// path, so a store commits as soon as its job is submitted (a
+    /// 1-member segment at admission, a coalesced one at seal) and no
     /// job id outlives the step's I/O queues.
     Persistent,
 }
@@ -127,9 +132,6 @@ struct Record {
     scopes: HashSet<u64>,
     /// The tier holding (or about to hold) the bytes; demotion moves it.
     tier: TierId,
-    /// The sealed segment carrying this record's store, when the bytes
-    /// ride a coalesced job rather than a per-tensor one.
-    seg: Option<u64>,
     /// Pinned staging slab the bytes occupy while a store is staged or
     /// in flight; released exactly once when the staging retires.
     slab: Option<PinnedSlab>,
@@ -143,13 +145,17 @@ struct Record {
     window: bool,
 }
 
-/// A sealed segment whose store job is in flight: the per-segment index
-/// that lets commit and recovery keep member identity (one failed
-/// segment degrades per [`RecoveryPolicy`], not per tensor).
+/// A submitted segment whose store job is in flight: the per-segment
+/// index that lets commit and recovery keep member identity (one failed
+/// segment degrades per [`RecoveryPolicy`], not per tensor). Every store
+/// job is one: a record `admit` does not stage rides a 1-member segment.
 struct SegmentState {
     job: JobId,
     tier: TierId,
     class: OffloadClass,
+    /// Sealed by the coalescer (counted in
+    /// [`OffloadStats::coalesce_segments`]), not a 1-member store.
+    coalesced: bool,
     entries: Vec<SegmentEntry>,
 }
 
@@ -201,9 +207,9 @@ struct Inner {
     profiling: bool,
     fwd_start: SimTime,
     fwd_secs: f64,
-    /// Sealed segments whose coalesced store jobs are in flight,
-    /// committed (written through [`crate::TierStack::write_segment`])
-    /// or recovered as a unit; removal marks the segment committed.
+    /// Submitted segments whose store jobs are in flight, committed
+    /// (written through [`crate::TierStack::write_segment`]) or
+    /// recovered as a unit; removal marks the segment committed.
     segments: HashMap<u64, SegmentState>,
     /// Groups already prefetched this step (group double-buffering must
     /// never load a group twice).
@@ -738,7 +744,7 @@ impl TensorCache {
     fn will_reload(&self, rec: &Record, now: SimTime) -> bool {
         match rec.state {
             RecState::Offloaded => true,
-            RecState::Storing { job } => now >= self.io.store_end(job),
+            RecState::Storing { job, .. } => now >= self.io.store_end(job),
             _ => false,
         }
     }
@@ -1074,15 +1080,18 @@ impl TensorCache {
                 })
                 .fold(SimTime::ZERO, SimTime::max)
         };
-        let stall = self.io.clock().advance_to(latest);
+        self.stall_until(latest, "stall.drain");
+    }
+
+    /// The one exposed I/O wait: advances the clock to `until`, books the
+    /// time in [`OffloadStats::stall_secs`] and, when any passed, emits a
+    /// `name` span ([`TraceCategory::Stall`]).
+    fn stall_until(&self, until: SimTime, name: &'static str) {
+        let stall = self.io.clock().advance_to(until);
         self.stats.lock().stall_secs += stall;
         if stall > 0.0 {
-            self.trace().span(
-                TraceCategory::Stall,
-                "stall.drain",
-                latest.plus_secs(-stall),
-                latest,
-            );
+            self.trace()
+                .span(TraceCategory::Stall, name, until.plus_secs(-stall), until);
         }
     }
 
@@ -1119,13 +1128,8 @@ impl TensorCache {
         inner.groups_loaded.clear();
         let slabs: Vec<PinnedSlab> = inner.group_slabs.drain().map(|(_, s)| s).collect();
         drop(inner);
-        let now = self.io.clock().now();
-        let trace = self.trace();
         for slab in slabs {
-            let len = slab.len;
-            if self.arena.release(slab) {
-                trace.instant_bytes(TraceCategory::Arena, "arena.release", now, len);
-            }
+            self.retire_slab(Some(slab));
         }
     }
 
@@ -1155,9 +1159,9 @@ impl TensorCache {
     /// the job's simulated completion. A failed write is recovered per
     /// the configured [`RecoveryPolicy`] exactly like an activation's
     /// (under [`RecoveryPolicy::FailStep`] the error also lands in
-    /// [`TensorCache::take_error`]); a tensor kept resident by a failed
-    /// per-tensor write gets no slot, one in a failed segment stays
-    /// resident behind its slot.
+    /// [`TensorCache::take_error`]). A tensor kept resident by the failed
+    /// write of its own 1-member job gets no slot; one in a failed
+    /// coalesced segment stays resident behind its slot.
     pub fn offload_state(&self, tensor: &Tensor, class: OffloadClass) -> Option<StateSlot> {
         let query = PlacementQuery {
             class,
@@ -1183,7 +1187,7 @@ impl TensorCache {
             self.refuse_full(bytes);
             return None;
         };
-        let (id, _) = self.admit(
+        let id = self.admit(
             &mut inner,
             tensor,
             tensor_key(tensor),
@@ -1192,11 +1196,13 @@ impl TensorCache {
             HashSet::new(),
         );
         let rec = inner.records.get(&id)?;
-        if rec.seg.is_some() || !matches!(rec.state, RecState::Resident) {
+        if self.stages(&inner, class) || !matches!(rec.state, RecState::Resident) {
             return Some(StateSlot(id));
         }
-        // Its own write failed and recovery kept the tensor: like a keep,
-        // it gets no slot, no store job and its reservation returns now.
+        // The one rule for a state store that fails at admission: its own
+        // 1-member job failed and recovery kept the tensor, so like a
+        // keep it gets no slot, no store job and its reservation returns
+        // now. A member of a failed coalesced segment keeps its slot.
         let rec = inner.records.remove(&id)?;
         drop(inner);
         self.tiers.remove(rec.tier, &rec.key, rec.bytes);
@@ -1227,22 +1233,11 @@ impl TensorCache {
                 self.seal_segment(&mut inner, seg, false);
             }
         }
-        let rec = inner.records.get_mut(&id)?;
-        if !matches!(rec.state, RecState::Offloaded) {
+        if !matches!(inner.records.get(&id)?.state, RecState::Offloaded) {
             return Some(self.io.clock().now());
         }
-        let link = self.tiers.link(rec.tier);
-        let ready = self.io.submit_load_from(link, rec.bytes).max(rec.landed);
-        self.restore_record(rec, ready);
-        rec.state = RecState::Resident;
-        let (bytes, class) = (rec.bytes, rec.class);
-        drop(inner);
-        let mut stats = self.stats.lock();
-        stats.reloaded_bytes += bytes;
-        let c = stats.class_mut(class);
-        c.reloaded_bytes += bytes;
-        c.loads += 1;
-        drop(stats);
+        let ready = self.reload(&mut inner, id)?;
+        inner.records.get_mut(&id)?.state = RecState::Resident;
         Some(ready)
     }
 
@@ -1325,16 +1320,22 @@ impl TensorCache {
         );
     }
 
+    /// Whether `admit` stages a record of `class` now: with coalescing
+    /// enabled, every state record and every activation outside backward.
+    fn stages(&self, inner: &Inner, class: OffloadClass) -> bool {
+        self.config.coalesce_segment_bytes > 0
+            && (Lifetime::of(class) == Lifetime::Persistent || !inner.phase.in_backward())
+    }
+
     /// The one store entry point every class shares: admits `tensor`
     /// (its bytes already reserved at `placement`) as a new record. The
-    /// bytes enter the pinned staging arena; with coalescing enabled the
-    /// record is *staged* into the open segment of its (tier, class) —
+    /// bytes enter the pinned staging arena; a record [`Self::stages`]
+    /// admits is *staged* into the open segment of its (tier, class) —
     /// the store job is submitted when the segment seals, so store jobs
-    /// count segments, not tensors — otherwise a per-tensor store job is
-    /// submitted now (Figure 4 ①). The memory release is deferred until
-    /// the store commits — at once for persistent records. Returns the
-    /// record id and the per-tensor job's link occupancy (zero when
-    /// staged: the segment attributes it at seal time).
+    /// count segments, not tensors — any other rides a 1-member segment
+    /// submitted now (Figure 4 ①), which neither holds nor counts as a
+    /// coalescer seal. The memory release is deferred until the store
+    /// commits — at once for persistent records.
     fn admit(
         &self,
         inner: &mut Inner,
@@ -1343,24 +1344,14 @@ impl TensorCache {
         placement: TierPlacement,
         class: OffloadClass,
         scopes: HashSet<u64>,
-    ) -> (RecordId, f64) {
+    ) -> RecordId {
         let bytes = tensor.bytes();
         let lifetime = Lifetime::of(class);
         let slab = self.arena.acquire(bytes);
         let slab_acquired = slab.is_some();
-        let staged = self.config.coalesce_segment_bytes > 0
-            && (lifetime == Lifetime::Persistent || !inner.phase.in_backward());
+        let staged = self.stages(inner, class);
         let window =
             staged && class == OffloadClass::Activation && Self::forecast_covers(inner, &scopes);
-        let (state, store_secs) = if staged {
-            (RecState::Staged, 0.0)
-        } else {
-            let job = self
-                .io
-                .submit_store_to(self.tiers.link(placement.tier), bytes);
-            let (start, end) = self.io.store_span(job);
-            (RecState::Storing { job }, end.since(start))
-        };
         let id = inner.next_id;
         inner.next_id += 1;
         if let Some(admitted) = inner.admitted.as_mut() {
@@ -1374,10 +1365,10 @@ impl TensorCache {
                 bytes,
                 class,
                 lifetime,
-                state,
+                // Until the job carrying the bytes is submitted below.
+                state: RecState::Staged,
                 scopes,
                 tier: placement.tier,
-                seg: None,
                 slab,
                 landed: SimTime::ZERO,
                 window,
@@ -1388,12 +1379,7 @@ impl TensorCache {
         if placement.spilled {
             stats.spilled_bytes += bytes;
         }
-        let c = stats.class_mut(class);
-        c.offloaded_bytes += bytes;
-        if !staged {
-            c.stores += 1;
-            stats.store_jobs += 1;
-        }
+        stats.class_mut(class).offloaded_bytes += bytes;
         drop(stats);
         let trace = self.trace();
         let now = self.io.clock().now();
@@ -1438,10 +1424,18 @@ impl TensorCache {
             if let Some(seg) = full {
                 self.seal_segment(inner, seg, true);
             }
-        } else if lifetime == Lifetime::Persistent {
-            self.commit(inner, id);
+        } else {
+            let seg = self
+                .coalescer
+                .lock()
+                .single(placement.tier, id, bytes, class);
+            let seg_id = seg.id;
+            self.submit_segment(inner, seg, false);
+            if lifetime == Lifetime::Persistent {
+                self.commit(inner, seg_id);
+            }
         }
-        (id, store_secs)
+        id
     }
 
     /// Whether the module admitting a record (its only scope, `scopes`)
@@ -1454,20 +1448,6 @@ impl TensorCache {
             .iter()
             .filter_map(|seq| inner.scopes.get(seq))
             .any(|meta| forecast.positions.contains(&meta.pos))
-    }
-
-    /// Commits record `id`'s in-flight store through whichever job
-    /// carries it: its sealed segment (committing every sibling with it)
-    /// or its own per-tensor job. A no-op unless the record is storing.
-    fn commit(&self, inner: &mut Inner, id: RecordId) {
-        let Some(rec) = inner.records.get_mut(&id) else {
-            return;
-        };
-        match (rec.state, rec.seg) {
-            (RecState::Storing { .. }, Some(seg)) => self.commit_segment(inner, seg),
-            (RecState::Storing { job }, None) => self.commit_store(rec, job),
-            _ => {}
-        }
     }
 
     /// Evicts staged record `id` from its open segment. Its bytes never
@@ -1509,27 +1489,28 @@ impl TensorCache {
         Some(tensor)
     }
 
-    /// Data forwarding (Section 3.3.2): record `id`, whose store `job`
-    /// is still in flight, is consumed from memory and skips the reload.
-    /// A store that has not started is cancelled (adaptive feature 1): a
-    /// per-tensor job outright, a segment job by re-sealing the segment
-    /// without this member. A started segment job carries the member's
-    /// siblings on, and commit skips this member. Returns the resident
-    /// tensor.
-    fn forward(&self, inner: &mut Inner, id: RecordId, job: JobId, now: SimTime) -> Option<Tensor> {
+    /// Data forwarding (Section 3.3.2): record `id`, whose store is still
+    /// in flight, is consumed from memory and skips the reload. A store
+    /// whose job has not started is cancelled (adaptive feature 1) by
+    /// [`Self::cancel_member`]. A job that goes ahead carries the bytes
+    /// on: the member is `Forwarded`, and its segment's commit writes it
+    /// while the tensor stays resident. Returns the resident tensor.
+    fn forward(&self, inner: &mut Inner, id: RecordId, now: SimTime) -> Option<Tensor> {
         let rec = inner.records.get_mut(&id)?;
+        let RecState::Storing { seg, .. } = rec.state else {
+            return None;
+        };
         rec.state = RecState::Resident;
-        let (bytes, class, seg, slab) = (rec.bytes, rec.class, rec.seg, rec.slab.take());
+        let (bytes, class, slab) = (rec.bytes, rec.class, rec.slab.take());
         let tensor = rec.tensor.clone();
         self.retire_slab(slab);
-        let (cancelled, job_gone) = match seg {
-            _ if !self.config.cancel_forwarded_stores => (false, false),
-            None => {
-                let cancelled = self.io.try_cancel_store(job, now);
-                (cancelled, cancelled)
+        let cancelled =
+            self.config.cancel_forwarded_stores && self.cancel_member(inner, seg, bytes, now);
+        if !cancelled {
+            if let Some(rec) = inner.records.get_mut(&id) {
+                rec.state = RecState::Forwarded { seg };
             }
-            Some(seg) => self.reseal_without(inner, seg, now),
-        };
+        }
         let mut stats = self.stats.lock();
         stats.forwarded += 1;
         stats.forwarded_bytes += bytes;
@@ -1538,14 +1519,6 @@ impl TensorCache {
             stats.cancelled_bytes += bytes;
             stats.offloaded_bytes -= bytes;
             stats.class_mut(class).offloaded_bytes -= bytes;
-            if seg.is_some() {
-                stats.coalesced_bytes -= bytes;
-                stats.coalesce_segments -= u64::from(job_gone);
-            }
-        }
-        if job_gone {
-            stats.store_jobs -= 1;
-            stats.class_mut(class).stores -= 1;
         }
         drop(stats);
         let trace = self.trace();
@@ -1562,38 +1535,47 @@ impl TensorCache {
         Some(tensor)
     }
 
-    /// Re-seals segment `seg_id` without its forwarded members when its
-    /// job has not started by `now`: the job is cancelled and the members
-    /// still riding it are resubmitted as one job, or none when no member
-    /// is left. Returns whether the forwarded member's store was
-    /// cancelled and whether the segment's job went away with it.
-    fn reseal_without(&self, inner: &mut Inner, seg_id: u64, now: SimTime) -> (bool, bool) {
+    /// Takes a forwarded member (`bytes`) off segment `seg_id` when the
+    /// segment's job has not started by `now`: the job is cancelled and
+    /// the members still riding it are resubmitted as one job, or none
+    /// when no member is left — a 1-member store simply goes away.
+    /// Returns whether the member's store was cancelled.
+    fn cancel_member(&self, inner: &mut Inner, seg_id: u64, bytes: u64, now: SimTime) -> bool {
         let Some(seg) = inner.segments.get_mut(&seg_id) else {
-            return (false, false);
+            return false;
         };
         let old = seg.job;
         if !self.io.try_cancel_store(old, now) {
-            return (false, false);
+            return false;
         }
         let records = &inner.records;
         seg.entries.retain(|e| {
             records
                 .get(&e.record)
-                .is_some_and(|r| matches!(r.state, RecState::Storing { job } if job == old))
+                .is_some_and(|r| matches!(r.state, RecState::Storing { job, .. } if job == old))
         });
-        if seg.entries.is_empty() {
-            inner.segments.remove(&seg_id);
-            return (true, true);
+        let mut stats = self.stats.lock();
+        if seg.coalesced {
+            stats.coalesced_bytes -= bytes;
         }
+        if seg.entries.is_empty() {
+            stats.store_jobs -= 1;
+            stats.class_mut(seg.class).stores -= 1;
+            stats.coalesce_segments -= u64::from(seg.coalesced);
+            drop(stats);
+            inner.segments.remove(&seg_id);
+            return true;
+        }
+        drop(stats);
         let total = seg.entries.iter().map(|e| e.bytes).sum();
         let job = self.io.submit_store_to(self.tiers.link(seg.tier), total);
         seg.job = job;
         for e in &seg.entries {
             if let Some(rec) = inner.records.get_mut(&e.record) {
-                rec.state = RecState::Storing { job };
+                rec.state = RecState::Storing { job, seg: seg_id };
             }
         }
-        (true, false)
+        true
     }
 
     /// Releases a staging slab back to the arena, emitting the
@@ -1624,12 +1606,10 @@ impl TensorCache {
         }
     }
 
-    /// Submits one coalesced store job for a sealed segment and flips
-    /// its members `Staged` → `Storing`. One segment is one job on the
-    /// tier's link ([`OffloadStats::store_jobs`] and the segment's class
-    /// lane count segments, not tensors) and will be one device write
-    /// operation at commit — at once for a persistent class, which has
-    /// no forwarding window. The members' byte accounting stayed
+    /// Submits a segment the coalescer sealed and flips its members
+    /// `Staged` → `Storing` ([`Self::submit_segment`]), traced as
+    /// `coalesce.seal`; a persistent class, which has no forwarding
+    /// window, commits at once. The members' byte accounting stayed
     /// per-record at admission, so the trace identity `Σstore.enqueue −
     /// Σstore.cancel − recoveries == offloaded_bytes` holds unchanged
     /// through the coalesced path.
@@ -1655,43 +1635,8 @@ impl TensorCache {
             );
             return;
         }
-        let job = self.io.submit_store_to(link, total);
-        let (start, end) = self.io.store_span(job);
-        let seg_secs = end.since(start);
-        for e in &seg.entries {
-            let scope = {
-                let Some(rec) = inner.records.get_mut(&e.record) else {
-                    continue;
-                };
-                rec.state = RecState::Storing { job };
-                rec.seg = Some(seg.id);
-                rec.scopes.iter().min().copied()
-            };
-            // Profiling sees the segment's link occupancy distributed
-            // over its members proportional to their bytes.
-            if let Some(s) = scope {
-                if let Some(meta) = inner.scopes.get_mut(&s) {
-                    meta.store_secs += seg_secs * e.bytes as f64 / total as f64;
-                }
-            }
-        }
-        let entries = seg.entries.len() as u64;
-        let (id, class) = (seg.id, seg.class);
-        inner.segments.insert(
-            seg.id,
-            SegmentState {
-                job,
-                tier: seg.tier,
-                class: seg.class,
-                entries: seg.entries,
-            },
-        );
-        let mut stats = self.stats.lock();
-        stats.store_jobs += 1;
-        stats.coalesce_segments += 1;
-        stats.coalesced_bytes += total;
-        stats.class_mut(class).stores += 1;
-        drop(stats);
+        let (id, class, entries) = (seg.id, seg.class, seg.entries.len() as u64);
+        self.submit_segment(inner, seg, true);
         self.trace().instant_with(
             TraceCategory::Coalesce,
             "coalesce.seal",
@@ -1704,8 +1649,51 @@ impl TensorCache {
             ],
         );
         if Lifetime::of(class) == Lifetime::Persistent {
-            self.commit_segment(inner, id);
+            self.commit(inner, id);
         }
+    }
+
+    /// Submits `seg`'s store job — one job for its total bytes on its
+    /// tier's link, one device write operation at commit — and flips its
+    /// members to `Storing`. Every store job is a segment: the coalescer
+    /// seals multi-member ones (`coalesced`), `admit` submits a record it
+    /// does not stage as a 1-member one. The job counts once in
+    /// [`OffloadStats::store_jobs`] and its class's `stores` lane, and its
+    /// link occupancy is attributed to the members' modules in
+    /// proportion to their bytes.
+    fn submit_segment(&self, inner: &mut Inner, seg: SealedSegment, coalesced: bool) {
+        let total = seg.total_bytes();
+        let job = self.io.submit_store_to(self.tiers.link(seg.tier), total);
+        let (start, end) = self.io.store_span(job);
+        let seg_secs = end.since(start);
+        for e in &seg.entries {
+            let Some(rec) = inner.records.get_mut(&e.record) else {
+                continue;
+            };
+            rec.state = RecState::Storing { job, seg: seg.id };
+            let scope = rec.scopes.iter().min().copied();
+            if let Some(meta) = scope.and_then(|s| inner.scopes.get_mut(&s)) {
+                meta.store_secs += seg_secs * (e.bytes as f64 / total as f64);
+            }
+        }
+        let mut stats = self.stats.lock();
+        stats.store_jobs += 1;
+        stats.class_mut(seg.class).stores += 1;
+        if coalesced {
+            stats.coalesce_segments += 1;
+            stats.coalesced_bytes += total;
+        }
+        drop(stats);
+        inner.segments.insert(
+            seg.id,
+            SegmentState {
+                job,
+                tier: seg.tier,
+                class: seg.class,
+                coalesced,
+                entries: seg.entries,
+            },
+        );
     }
 
     /// Whether `seg` holds only forecast opening-window members and its
@@ -1732,13 +1720,22 @@ impl TensorCache {
                 > inner.fwd_stage_enter.plus_secs(forecast.fwd_secs)
     }
 
-    /// Commits a sealed segment: one batched device write for every
-    /// member still riding the job (members forwarded after sealing are
-    /// skipped — their bytes never leave memory), memory freed at the
-    /// job's completion time. Idempotent: removal from the segment map
-    /// marks the segment committed. A failed batch write degrades the
-    /// *segment* per the configured [`RecoveryPolicy`], not per tensor.
-    fn commit_segment(&self, inner: &mut Inner, seg_id: u64) {
+    /// Commits a submitted segment — the one commit every store job
+    /// shares: one batched device write for every member the job
+    /// carries, memory freed at the job's completion time. A member
+    /// forwarded after its job started is written too but stays
+    /// resident, so every offloaded byte lands on its tier. Idempotent:
+    /// removal from the segment map marks the segment committed. A
+    /// failed write degrades the *segment* per the configured
+    /// [`RecoveryPolicy`] ([`Self::recover_failed_segment`]).
+    ///
+    /// Mirrors Python garbage collection (paper Section 3.2): an
+    /// activation's memory is reclaimable only once the cache holds the
+    /// *last* reference to the storage. If model code still holds the
+    /// tensor (e.g. a step input reused across steps), the member simply
+    /// stays resident. Persistent state is released regardless: the
+    /// optimizer's handle is restored by the reload.
+    fn commit(&self, inner: &mut Inner, seg_id: u64) {
         let Some(seg) = inner.segments.remove(&seg_id) else {
             return;
         };
@@ -1751,12 +1748,13 @@ impl TensorCache {
             let Some(rec) = inner.records.get_mut(&e.record) else {
                 continue;
             };
-            if !matches!(rec.state, RecState::Storing { job } if job == seg.job) {
-                continue;
-            }
-            if rec.lifetime == Lifetime::Step && rec.tensor.storage().strong_count() > 1 {
-                // Live references outside the cache: like the per-tensor
-                // commit, the activation simply stays resident.
+            let forwarded = match rec.state {
+                RecState::Storing { job, .. } if job == seg.job => false,
+                RecState::Forwarded { seg } if seg == seg_id => true,
+                _ => continue,
+            };
+            let shared = rec.tensor.storage().strong_count() > 1;
+            if !forwarded && rec.lifetime == Lifetime::Step && shared {
                 rec.state = RecState::Resident;
                 let slab = rec.slab.take();
                 self.retire_slab(slab);
@@ -1778,28 +1776,39 @@ impl TensorCache {
             .collect();
         match self.tiers.write_segment(seg.tier, &items) {
             Ok(()) => {
+                for (_, _, _, id) in &members {
+                    if let Some(rec) = inner.records.get_mut(id) {
+                        self.land(rec, end);
+                    }
+                }
                 let total: u64 = members.iter().map(|(_, _, b, _)| *b).sum();
                 let (start, _) = self.io.store_span(seg.job);
-                for (_, _, _, id) in &members {
-                    let slab = {
-                        let Some(rec) = inner.records.get_mut(id) else {
-                            continue;
-                        };
-                        self.mem.with_time(end, || rec.tensor.storage().release());
-                        rec.state = RecState::Offloaded;
-                        rec.landed = end;
-                        rec.slab.take()
-                    };
-                    self.retire_slab(slab);
-                }
                 self.trace()
                     .span_bytes(TraceCategory::Store, "store", start, end, total);
             }
             Err(err) => self.recover_failed_segment(inner, &seg, &members, end, err),
         }
+        // Whatever the outcome, the staging buffers' job is done.
+        for (_, _, _, id) in &members {
+            let slab = inner.records.get_mut(id).and_then(|r| r.slab.take());
+            self.retire_slab(slab);
+        }
     }
 
-    /// Segment-level recovery: the batched write failed before any
+    /// Marks a committed member's bytes landed on its tier at `end`: a
+    /// storing record is offloaded and its GPU memory freed at that time;
+    /// a forwarded one stays resident.
+    fn land(&self, rec: &mut Record, end: SimTime) {
+        if let RecState::Forwarded { .. } = rec.state {
+            rec.state = RecState::Resident;
+            return;
+        }
+        self.mem.with_time(end, || rec.tensor.storage().release());
+        rec.state = RecState::Offloaded;
+        rec.landed = end;
+    }
+
+    /// The one store recovery: the batched write failed before any
     /// member's bytes landed ([`crate::OffloadTarget::write_batch`]
     /// unwinds partial writes), so every member is still resident and
     /// the step stays numerically exact. One failure, one policy
@@ -1831,27 +1840,21 @@ impl TensorCache {
                     )
                 })
                 .flatten();
-            let slab = {
-                let Some(rec) = inner.records.get_mut(id) else {
-                    continue;
-                };
-                match demoted {
-                    Some(dest) => {
-                        self.mem.with_time(end, || rec.tensor.storage().release());
-                        rec.state = RecState::Offloaded;
-                        rec.landed = end;
-                        rec.tier = dest;
-                        fell_back += bytes;
-                        fallback_dest = Some(dest);
-                    }
-                    None => {
-                        rec.state = RecState::Resident;
-                        kept += bytes;
-                    }
-                }
-                rec.slab.take()
+            let Some(rec) = inner.records.get_mut(id) else {
+                continue;
             };
-            self.retire_slab(slab);
+            match demoted {
+                Some(dest) => {
+                    self.land(rec, end);
+                    rec.tier = dest;
+                    fell_back += bytes;
+                    fallback_dest = Some(dest);
+                }
+                None => {
+                    rec.state = RecState::Resident;
+                    kept += bytes;
+                }
+            }
         }
         if kept > 0 && fell_back == 0 {
             // Nothing from this segment is in flight any more; return
@@ -1870,95 +1873,10 @@ impl TensorCache {
         self.book_recovery(seg.class, fell_back, fallback_dest, kept, failed);
     }
 
-    /// Commits a completed store: memory freed at the store's end time.
-    ///
-    /// Mirrors Python garbage collection (paper Section 3.2): an
-    /// activation's memory is reclaimable only once the cache holds the
-    /// *last* reference to the storage. If model code still holds the
-    /// tensor (e.g. a step input reused across steps), the record simply
-    /// stays resident. Persistent state is released regardless: the
-    /// optimizer's handle is restored by the reload.
-    fn commit_store(&self, rec: &mut Record, job: JobId) {
-        if rec.lifetime == Lifetime::Step && rec.tensor.storage().strong_count() > 1 {
-            rec.state = RecState::Resident;
-            let slab = rec.slab.take();
-            self.retire_slab(slab);
-            return;
-        }
-        let end = self.io.store_end(job);
-        // The real payload crosses the filesystem here (wall time); the
-        // simulated transfer finished at `end`.
-        let data = rec.tensor.storage().to_bytes();
-        match self
-            .tiers
-            .write(rec.tier, &rec.key, data.as_deref(), rec.bytes)
-        {
-            Ok(()) => {
-                self.mem.with_time(end, || rec.tensor.storage().release());
-                rec.state = RecState::Offloaded;
-                rec.landed = end;
-                let (start, end) = self.io.store_span(job);
-                self.trace()
-                    .span_bytes(TraceCategory::Store, "store", start, end, rec.bytes);
-            }
-            Err(err) => self.recover_failed_store(rec, job, err),
-        }
-        // Whatever the outcome, the staging buffer's job is done.
-        let slab = rec.slab.take();
-        self.retire_slab(slab);
-    }
-
-    /// Recovery for a store the target refused. The payload only
-    /// crosses to the target at commit time, so the tensor is still in
-    /// GPU memory and every [`RecoveryPolicy`] keeps the step
-    /// numerically exact — the policy decides whether the failure is
-    /// absorbed, re-routed to the fallback target, or surfaced as a
-    /// step error.
-    fn recover_failed_store(&self, rec: &mut Record, job: JobId, err: io::Error) {
-        self.stats.lock().store_failures += 1;
-        if self.config.recovery == RecoveryPolicy::FallbackTarget {
-            let data = rec.tensor.storage().to_bytes();
-            if let Some(dest) = self.tiers.demote(
-                rec.tier,
-                &rec.key,
-                data.as_deref(),
-                rec.bytes,
-                self.config.max_io_retries,
-            ) {
-                let end = self.io.store_end(job);
-                self.mem.with_time(end, || rec.tensor.storage().release());
-                rec.state = RecState::Offloaded;
-                rec.landed = end;
-                let failed = self.store_error(rec, err);
-                rec.tier = dest;
-                self.book_recovery(rec.class, rec.bytes, Some(dest), 0, failed);
-                return;
-            }
-        }
-        // Keep the tensor resident (also the fallback's last resort).
-        // The store job is dead weight now — cancel it if it still sits
-        // in the queue, reusing the forwarding machinery.
-        rec.state = RecState::Resident;
-        let _ = self.io.try_cancel_store(job, self.io.clock().now());
-        let failed = self.store_error(rec, err);
-        self.book_recovery(rec.class, 0, None, rec.bytes, failed);
-    }
-
-    /// The step error a failed write of `rec` surfaces under
-    /// [`RecoveryPolicy::FailStep`].
-    fn store_error(&self, rec: &Record, source: io::Error) -> OffloadError {
-        OffloadError::Store {
-            key: rec.key.clone(),
-            bytes: rec.bytes,
-            target: self.tiers.name(rec.tier),
-            source,
-        }
-    }
-
-    /// The recovery epilogue both store paths share: moves `fell_back`
-    /// bytes (demoted to `dest`) and `kept` bytes (left resident) of
-    /// `class` out of the primary account and traces them; under
-    /// [`RecoveryPolicy::FailStep`] `failed` becomes the step's error.
+    /// The recovery epilogue: moves `fell_back` bytes (demoted to `dest`)
+    /// and `kept` bytes (left resident) of `class` out of the primary
+    /// account and traces them; under [`RecoveryPolicy::FailStep`]
+    /// `failed` becomes the step's error.
     fn book_recovery(
         &self,
         class: OffloadClass,
@@ -2002,27 +1920,40 @@ impl TensorCache {
         }
     }
 
-    /// Reloads a record's bytes, retrying up to `max_io_retries` times.
-    /// A load that still fails is unrecoverable — the activation is
-    /// gone — so the tensor is restored to zeros to keep the graph
-    /// executable and a structured error is queued; it surfaces at the
-    /// step boundary under *every* policy.
-    fn restore_record(&self, rec: &mut Record, ready: SimTime) {
-        self.read_back(&rec.key, rec.tier, rec.bytes, &rec.tensor, ready);
+    /// The one reload path activations and state slots share: submits
+    /// record `id`'s bytes on its tier's link — never before its store
+    /// landed — and reads them back ([`Self::read_back`]), attributes the
+    /// link occupancy to the record's module and books the class
+    /// counters. The record is `Loading` until the returned ready time.
+    fn reload(&self, inner: &mut Inner, id: RecordId) -> Option<SimTime> {
+        let rec = inner.records.get_mut(&id)?;
+        let link = self.tiers.link(rec.tier);
+        let busy0 = self.io.read_busy_secs_on(link);
+        let ready = self.io.submit_load_from(link, rec.bytes).max(rec.landed);
+        let load_secs = self.io.read_busy_secs_on(link) - busy0;
+        self.read_back(rec, ready);
+        rec.state = RecState::Loading { ready };
+        let (bytes, class) = (rec.bytes, rec.class);
+        let scope = rec.scopes.iter().min().copied();
+        if let Some(meta) = scope.and_then(|s| inner.scopes.get_mut(&s)) {
+            meta.load_secs += load_secs;
+        }
+        let mut stats = self.stats.lock();
+        stats.reloaded_bytes += bytes;
+        let c = stats.class_mut(class);
+        c.reloaded_bytes += bytes;
+        c.loads += 1;
+        Some(ready)
     }
 
-    /// Shared read-with-retries path for activation records and state
-    /// slots: reloads `bytes` from `tier` into `tensor` (retrying up to
-    /// `max_io_retries`), restoring zeros and queuing a structured
-    /// [`OffloadError::Load`] when the data is permanently gone.
-    fn read_back(
-        &self,
-        key: &TensorKey,
-        tier: TierId,
-        bytes: u64,
-        tensor: &Tensor,
-        ready: SimTime,
-    ) {
+    /// Reads `rec`'s bytes back from its tier into its tensor, retrying
+    /// up to `max_io_retries` times. A load that still fails is
+    /// unrecoverable — the data is gone — so the tensor is restored to
+    /// zeros to keep the graph executable and a structured
+    /// [`OffloadError::Load`] is queued; it surfaces at the step boundary
+    /// under *every* policy.
+    fn read_back(&self, rec: &Record, ready: SimTime) {
+        let (key, tier, bytes, tensor) = (&rec.key, rec.tier, rec.bytes, &rec.tensor);
         let mut attempts = 0u32;
         let data = loop {
             attempts += 1;
@@ -2102,23 +2033,23 @@ impl TensorCache {
                     self.evict_staged(&mut inner, *id, true);
                     continue;
                 }
-                Some(RecState::Storing { job }) => {
+                Some(RecState::Storing { job, seg }) => {
                     if now < self.io.store_end(job) {
                         // Still being stored: data forwarding at prefetch
                         // time (Section 3.3.2) keeps the in-memory
                         // reference so the store's completion never
                         // frees it.
-                        self.forward(&mut inner, *id, job, now);
+                        self.forward(&mut inner, *id, now);
                         continue;
                     }
                     // ssdtrain-lint: allow(no-alloc-hot-loop): committing serialises the payload being offloaded — the data path, not bookkeeping
-                    self.commit(&mut inner, *id);
+                    self.commit(&mut inner, seg);
                     // Immediately reload below.
                 }
                 Some(RecState::Offloaded) => {}
                 _ => continue,
             }
-            let Some(rec) = inner.records.get_mut(id) else {
+            let Some(rec) = inner.records.get(id) else {
                 continue;
             };
             if let RecState::Offloaded = rec.state {
@@ -2128,47 +2059,32 @@ impl TensorCache {
                     now,
                     rec.bytes,
                 );
-                let link = self.tiers.link(rec.tier);
-                let busy0 = self.io.read_busy_secs_on(link);
                 // ssdtrain-lint: allow(no-alloc-hot-loop): submitting the
                 // reload is the data path; its bookkeeping rides the transfer
-                let ready = self.io.submit_load_from(link, rec.bytes);
-                let load_secs = self.io.read_busy_secs_on(link) - busy0;
-                self.restore_record(rec, ready);
-                rec.state = RecState::Loading { ready };
-                let bytes = rec.bytes;
-                let seq = rec.scopes.iter().min().copied();
-                if let Some(seq) = seq {
-                    if let Some(meta) = inner.scopes.get_mut(&seq) {
-                        meta.load_secs += load_secs;
-                    }
-                }
-                let mut stats = self.stats.lock();
-                stats.prefetches += 1;
-                stats.reloaded_bytes += bytes;
-                let c = stats.class_mut(OffloadClass::Activation);
-                c.reloaded_bytes += bytes;
-                c.loads += 1;
+                self.reload(&mut inner, *id);
+                self.stats.lock().prefetches += 1;
             }
         }
     }
 
     fn release_record(&self, id: RecordId) {
         let mut inner = self.inner.lock();
-        // Coalesced pre-handling, while the record is still in the map
-        // (segment commit needs every member resolvable by id).
-        match inner.records.get(&id).map(|r| (r.state, r.seg)) {
+        // Settle the store while the record is still in the map (segment
+        // commit needs every member resolvable by id).
+        match inner.records.get(&id).map(|r| r.state) {
             None => return,
-            Some((RecState::Staged, _)) => {
+            Some(RecState::Staged) => {
                 // Released before its segment filled: the bytes never
                 // offload (no forwarding — nothing consumed the tensor).
                 self.evict_staged(&mut inner, id, false);
             }
-            Some((RecState::Storing { .. }, Some(sid))) => {
-                // The paper's "excessive offloading" effect on the
-                // coalesced path: committing the whole segment settles
-                // this member (and its siblings) before release.
-                self.commit_segment(&mut inner, sid);
+            Some(RecState::Storing { seg, .. } | RecState::Forwarded { seg }) => {
+                // The paper's "excessive offloading" effect: the tensor
+                // was never reused, so its memory comes back only when
+                // the store completes. Committing the segment settles
+                // this member (and its siblings) before release; a
+                // forwarded member's bytes land before it goes.
+                self.commit(&mut inner, seg);
             }
             _ => {}
         }
@@ -2183,8 +2099,13 @@ impl TensorCache {
         // its memory (the storage's own drop reports the eventual free).
         let exclusive = rec.tensor.storage().strong_count() == 1;
         match rec.state {
-            // Staged was evicted to Resident above; both free the bytes.
-            RecState::Resident | RecState::Staged => {
+            // Staged was evicted and a store committed above: whatever is
+            // not offloaded is resident (a failed or live-referenced
+            // commit keeps the tensor), and frees its bytes now.
+            RecState::Resident
+            | RecState::Staged
+            | RecState::Storing { .. }
+            | RecState::Forwarded { .. } => {
                 if exclusive {
                     rec.tensor.storage().release();
                 }
@@ -2195,17 +2116,6 @@ impl TensorCache {
                 if exclusive {
                     self.mem
                         .with_time(ready.max(now), || rec.tensor.storage().release());
-                }
-            }
-            RecState::Storing { job } => {
-                // The paper's "excessive offloading" effect: the tensor
-                // was never reused, its memory comes back only when the
-                // store completes.
-                self.commit_store(&mut rec, job);
-                // A failed commit keeps the tensor resident; free it
-                // now if the cache holds the last reference.
-                if matches!(rec.state, RecState::Resident) && exclusive {
-                    rec.tensor.storage().release();
                 }
             }
             RecState::Offloaded => {}
@@ -2338,7 +2248,7 @@ impl SavedTensorHooks for TensorCache {
             return Packed::Tensor(tensor.clone());
         };
         let scopes: HashSet<u64> = cur_scope.into_iter().collect();
-        let (id, store_secs) = self.admit(
+        let id = self.admit(
             &mut inner,
             tensor,
             key.clone(),
@@ -2347,14 +2257,9 @@ impl SavedTensorHooks for TensorCache {
             scopes,
         );
         inner.by_key.insert(key, id);
-        if let Some(seq) = cur_scope {
-            if let Some(meta) = inner.scopes.get_mut(&seq) {
-                meta.records.push(id);
-                meta.offload_bytes += bytes;
-                // A staged record's link occupancy is attributed when its
-                // segment seals.
-                meta.store_secs += store_secs;
-            }
+        if let Some(meta) = cur_scope.and_then(|seq| inner.scopes.get_mut(&seq)) {
+            meta.records.push(id);
+            meta.offload_bytes += bytes;
         }
         Packed::Opaque(id)
     }
@@ -2377,96 +2282,47 @@ impl SavedTensorHooks for TensorCache {
                     return t;
                 }
             }
-            Some(RecState::Storing { job }) => {
+            Some(RecState::Storing { job, seg }) => {
                 let end = self.io.store_end(job);
                 if self.config.forwarding && now < end {
-                    if let Some(t) = self.forward(&mut inner, id, job, now) {
+                    if let Some(t) = self.forward(&mut inner, id, now) {
                         return t;
                     }
                 }
-                if now < end {
-                    // Forwarding disabled: the load cannot begin until
-                    // the store finishes.
-                    // ssdtrain-lint: allow(lock-discipline): the record must commit under the same guard right after the drain; the simulation is single-threaded, so the hold cannot block a peer
-                    let stall = self.io.clock().advance_to(end);
-                    self.stats.lock().stall_secs += stall;
-                    if stall > 0.0 {
-                        self.trace().span(
-                            TraceCategory::Stall,
-                            "stall.store_drain",
-                            end.plus_secs(-stall),
-                            end,
-                        );
-                    }
-                }
+                // Forwarding disabled: the load cannot begin until the
+                // store finishes.
+                drop(inner);
+                self.stall_until(end, "stall.store_drain");
+                inner = self.inner.lock();
                 // Offloaded now (reload below) or resident (commit found
                 // live references, or recovery kept it).
-                self.commit(&mut inner, id);
+                self.commit(&mut inner, seg);
             }
             _ => {}
         }
         let rec = inner
             .records
-            .get_mut(&id)
+            .get(&id)
             .unwrap_or_else(|| panic!("unpack of unknown record {id}")); // ssdtrain-lint: allow(panic-free-hot-path): unpack of an unregistered id is an engine-integration bug, not a recoverable runtime failure
-        match rec.state {
-            // Staged and storing records were settled above; whatever
-            // remains is resident-equivalent.
-            RecState::Resident | RecState::Staged | RecState::Storing { .. } => rec.tensor.clone(),
+        let t = rec.tensor.clone();
+        // Staged and storing records were settled above; whatever is
+        // neither offloaded nor loading is resident-equivalent.
+        let ready = match rec.state {
             RecState::Offloaded => {
-                let link = self.tiers.link(rec.tier);
-                let busy0 = self.io.read_busy_secs_on(link);
-                // ssdtrain-lint: allow(no-alloc-hot-loop): submitting the
-                // reload is the data path; its bookkeeping rides the transfer
-                let ready = self.io.submit_load_from(link, rec.bytes);
-                let load_secs = self.io.read_busy_secs_on(link) - busy0;
-                self.restore_record(rec, ready);
-                rec.state = RecState::Resident;
-                let bytes = rec.bytes;
-                let t = rec.tensor.clone();
-                let seq = rec.scopes.iter().min().copied();
-                if let Some(seq) = seq {
-                    if let Some(meta) = inner.scopes.get_mut(&seq) {
-                        meta.load_secs += load_secs;
-                    }
-                }
-                drop(inner);
-                let stall = self.io.clock().advance_to(ready);
-                let mut stats = self.stats.lock();
-                stats.sync_loads += 1;
-                stats.reloaded_bytes += bytes;
-                stats.stall_secs += stall;
-                let c = stats.class_mut(OffloadClass::Activation);
-                c.reloaded_bytes += bytes;
-                c.loads += 1;
-                drop(stats);
-                if stall > 0.0 {
-                    self.trace().span(
-                        TraceCategory::Stall,
-                        "stall.load",
-                        ready.plus_secs(-stall),
-                        ready,
-                    );
-                }
-                t
+                self.stats.lock().sync_loads += 1;
+                self.reload(&mut inner, id)
             }
-            RecState::Loading { ready } => {
+            RecState::Loading { ready } => Some(ready),
+            _ => None,
+        };
+        if let Some(ready) = ready {
+            if let Some(rec) = inner.records.get_mut(&id) {
                 rec.state = RecState::Resident;
-                let t = rec.tensor.clone();
-                drop(inner);
-                let stall = self.io.clock().advance_to(ready);
-                self.stats.lock().stall_secs += stall;
-                if stall > 0.0 {
-                    self.trace().span(
-                        TraceCategory::Stall,
-                        "stall.load",
-                        ready.plus_secs(-stall),
-                        ready,
-                    );
-                }
-                t
             }
+            drop(inner);
+            self.stall_until(ready, "stall.load");
         }
+        t
     }
 }
 
@@ -2559,13 +2415,8 @@ impl ModuleHooks for TensorCache {
                     .filter_map(|k| inner.group_slabs.remove(k))
                     .collect()
             };
-            let now = self.io.clock().now();
-            let trace = self.trace();
             for slab in slabs {
-                let len = slab.len;
-                if self.arena.release(slab) {
-                    trace.instant_bytes(TraceCategory::Arena, "arena.release", now, len);
-                }
+                self.retire_slab(Some(slab));
             }
             return;
         }

@@ -34,10 +34,12 @@
 //! (under a fresh id) ahead of the tier's open segments.
 //!
 //! The coalescer is a passive data structure: the cache drives staging,
-//! eviction, holding and sealing, owns the sealed-segment lifecycle
-//! (submit → commit / recover), and holds the lock. Disabled
-//! (`segment_bytes == 0`) it stages nothing and the cache takes the
-//! classic one-job-per-tensor path.
+//! eviction, holding and sealing, owns the segment lifecycle (submit →
+//! commit / recover, plus forward / cancel), and holds the lock. That
+//! lifecycle is the only store path: a record the cache does not stage
+//! (coalescing off, or an activation admitted during backward) rides a
+//! 1-member segment from [`WriteCoalescer::single`], which takes a
+//! segment id but never counts as staged or sealed.
 
 use crate::placement::OffloadClass;
 use crate::tier::TierId;
@@ -113,7 +115,8 @@ pub struct WriteCoalescer {
 }
 
 impl WriteCoalescer {
-    /// A coalescer sealing segments at `segment_bytes` (0 = disabled).
+    /// A coalescer sealing segments at `segment_bytes` (with 0 the cache
+    /// stages nothing and uses only [`WriteCoalescer::single`]).
     pub fn new(segment_bytes: u64) -> WriteCoalescer {
         WriteCoalescer {
             segment_bytes,
@@ -126,11 +129,6 @@ impl WriteCoalescer {
         }
     }
 
-    /// Whether staging is active (`segment_bytes > 0`).
-    pub fn enabled(&self) -> bool {
-        self.segment_bytes > 0
-    }
-
     /// The configured segment size in bytes.
     pub fn segment_bytes(&self) -> u64 {
         self.segment_bytes
@@ -139,9 +137,6 @@ impl WriteCoalescer {
     /// Stages a record into the open segment of its (tier, class).
     /// Returns the sealed segment when this staging filled it to the
     /// threshold.
-    /// Disabled coalescers stage nothing and return `None` — the caller
-    /// must check [`WriteCoalescer::enabled`] and fall back to the
-    /// per-tensor path.
     pub fn stage(
         &mut self,
         tier: TierId,
@@ -149,9 +144,6 @@ impl WriteCoalescer {
         bytes: u64,
         class: OffloadClass,
     ) -> Option<SealedSegment> {
-        if !self.enabled() {
-            return None;
-        }
         let open = self.open.entry((tier, class)).or_default();
         open.entries.push(SegmentEntry {
             record,
@@ -166,6 +158,30 @@ impl WriteCoalescer {
             self.seal(tier, class)
         } else {
             None
+        }
+    }
+
+    /// A 1-member segment for a record that is not staged: a fresh id
+    /// (unique among this coalescer's segments), but nothing is counted —
+    /// it is never staged, sealed or open.
+    pub fn single(
+        &mut self,
+        tier: TierId,
+        record: u64,
+        bytes: u64,
+        class: OffloadClass,
+    ) -> SealedSegment {
+        let id = self.next_id;
+        self.next_id += 1;
+        SealedSegment {
+            id,
+            tier,
+            class,
+            entries: vec![SegmentEntry {
+                record,
+                bytes,
+                class,
+            }],
         }
     }
 
@@ -387,12 +403,20 @@ mod tests {
     }
 
     #[test]
-    fn disabled_coalescer_stages_nothing() {
+    fn a_single_member_segment_takes_an_id_but_counts_nothing() {
+        let t = tier0();
         let mut c = WriteCoalescer::new(0);
-        assert!(!c.enabled());
-        assert!(c.stage(tier0(), 1, 100, OffloadClass::Activation).is_none());
+        let a = c.single(t, 1, 100, OffloadClass::Activation);
+        assert_eq!(a.total_bytes(), 100);
+        assert_eq!(a.entries.len(), 1);
         assert_eq!(c.total_open_bytes(), 0);
         assert_eq!(c.counts(), CoalesceCounts::default());
+        let mut c = WriteCoalescer::new(10);
+        let sealed = c.stage(t, 2, 10, OffloadClass::Activation).expect("seal");
+        let b = c.single(t, 3, 10, OffloadClass::Gradient);
+        assert!(b.id > sealed.id, "ids stay unique across both kinds");
+        assert!(!c.is_staged(t, 3));
+        assert_eq!(c.counts().segments, 1);
     }
 
     #[test]

@@ -143,8 +143,8 @@ pub struct TensorCacheConfig {
     /// this many bytes before they reach the I/O queues: one segment is
     /// one store job and one device write operation, which is how the
     /// paper keeps the SSD write path dense (WAF → 1). `0` (the
-    /// default) disables coalescing — every tensor is its own job, the
-    /// pre-coalescer behaviour.
+    /// default) disables coalescing — every tensor rides its own
+    /// 1-member segment, one job each, the pre-coalescer behaviour.
     #[serde(default)]
     pub coalesce_segment_bytes: u64,
     /// Backward-to-forward time ratio assumed by the adaptive planner

@@ -215,18 +215,89 @@ fn all_records_released_after_step() {
 fn slow_stores_are_forwarded_and_queued_ones_cancelled() {
     // Glacial write bandwidth: every store is still in flight when
     // backward needs the tensor -> forwarding; queued stores cancel.
-    let r = rig(offload_all_config(), 1.0, 1.0, 1e-6);
-    let (w1t, w2t, xt) = init_weights(&r.dev, 13);
-    let w1 = Var::new("w1", w1t);
-    let w2 = Var::new("w2", w2t);
-    let loss = run_step(&r, &xt, &w1, &w2);
-    assert!(loss.is_finite());
-    let stats = r.cache.stats();
-    assert!(stats.forwarded > 0, "{stats:?}");
-    assert!(stats.cancelled_stores > 0, "{stats:?}");
-    // Forwarding means no reload traffic for those tensors and no stall.
-    assert_eq!(stats.sync_loads + stats.prefetches, 0, "{stats:?}");
-    assert!(w1.grad().is_some() && w2.grad().is_some());
+    // A job that already started carries its forwarded member on, and
+    // commit writes those bytes while the tensor stays resident: per
+    // tensor or coalesced, every offloaded byte is one the tier and the
+    // link wrote.
+    for segment in [0, 512] {
+        let cfg = TensorCacheConfig {
+            coalesce_segment_bytes: segment,
+            ..offload_all_config()
+        };
+        let r = rig(cfg, 1.0, 1.0, 1e-6);
+        let (w1t, w2t, xt) = init_weights(&r.dev, 13);
+        let w1 = Var::new("w1", w1t);
+        let w2 = Var::new("w2", w2t);
+        let loss = run_step(&r, &xt, &w1, &w2);
+        assert!(loss.is_finite());
+        let stats = r.cache.stats();
+        assert!(stats.forwarded > 0, "{stats:?}");
+        // The four records fill one 512 B segment whose job starts at
+        // once, so on that input nothing is left queued to cancel.
+        assert_eq!(stats.cancelled_stores > 0, segment == 0, "{stats:?}");
+        // Forwarding means no reload traffic for those tensors and no stall.
+        assert_eq!(stats.sync_loads + stats.prefetches, 0, "{stats:?}");
+        assert!(w1.grad().is_some() && w2.grad().is_some());
+        r.cache.drain_stores();
+        r.cache.flush();
+        let stats = r.cache.stats();
+        let written: u64 = stats.tiers.iter().map(|t| t.bytes_written).sum();
+        assert!(stats.offloaded_bytes > 0, "segment {segment}: {stats:?}");
+        assert_eq!(
+            (written, r.cache.io().bytes_written()),
+            (stats.offloaded_bytes, stats.offloaded_bytes),
+            "segment {segment}: tier and link writes must equal the offloaded bytes"
+        );
+    }
+}
+
+#[test]
+fn a_per_tensor_store_is_a_one_member_segment() {
+    // With prefetching off there is no opening window and nothing is
+    // held, so a 1-byte segment threshold seals every staged record on
+    // its own: the coalesced path then runs the same 1-member segments
+    // the per-tensor path submits, at any link speed.
+    for (write_bps, read_bps) in [(1e3, 1e3), (1e9, 1e9), (1e5, 1e4)] {
+        let run = |segment: u64| {
+            let cfg = TensorCacheConfig {
+                coalesce_segment_bytes: segment,
+                prefetch: false,
+                ..offload_all_config()
+            };
+            let r = rig(cfg, write_bps, read_bps, 1e-3);
+            let (w1t, w2t, xt) = init_weights(&r.dev, 31);
+            let w1 = Var::new("w1", w1t);
+            let w2 = Var::new("w2", w2t);
+            let mut steps = Vec::new();
+            for _ in 0..3 {
+                r.cache.begin_step();
+                r.graph.reset_tape();
+                r.graph.set_phase(Phase::Forward);
+                r.cache.register_parameter(&w1.tensor());
+                r.cache.register_parameter(&w2.tensor());
+                let loss = {
+                    let _forward = r.cache.stage_scope(StageHint::Forward);
+                    two_layer_forward(&r.graph, &xt, &w1, &w2)
+                };
+                {
+                    let _backward = r.cache.stage_scope(StageHint::Backward);
+                    r.graph.backward(&loss);
+                }
+                sgd_step(&[&w1, &w2], 0.1);
+                let s = r.cache.stats();
+                steps.push((
+                    loss.tensor().item().to_bits(),
+                    r.clock.now(),
+                    (s.stall_secs, s.store_stall_secs, s.store_jobs),
+                    (s.forwarded, s.cancelled_stores),
+                    (s.offloaded_bytes, s.reloaded_bytes),
+                    (r.mem.peak_activations(), r.mem.peak_total()),
+                ));
+            }
+            steps
+        };
+        assert_eq!(run(0), run(1), "links {write_bps}/{read_bps} B/s");
+    }
 }
 
 #[test]

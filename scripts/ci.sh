@@ -7,6 +7,10 @@ export CARGO_NET_OFFLINE=true
 
 cargo build --release
 cargo test -q
+# Every workspace member's tests too: the core crate's cache and
+# coalescer suites (unit and `crates/core/tests`), the train crate's and
+# the lint's. `cargo test` at the root runs only the suite package.
+cargo test -q --workspace
 # The observability golden file must stay byte-stable (regenerate with
 # UPDATE_GOLDEN=1 after intentional trace/exporter changes).
 cargo test -q --test trace_observability
