@@ -3,9 +3,16 @@
 //! (BERT H8192 L4, batch 16, TP=2, symbolic). Prints a table and emits
 //! `results/BENCH_tiering.json` with the per-tier traffic split and the
 //! endurance headroom each backend leaves on the SSD array.
+//!
+//! At the testbed point every store hides behind compute (the paper's
+//! Figure 10), so the JSON also carries the compute-bound step (the ssd
+//! backend with ten times faster links) and each backend's step where
+//! the links bind: half the testbed's link speed with adaptive
+//! offloading off, so every eligible tensor is offloaded whatever it
+//! costs.
 
 use ssdtrain::{PlacementStrategy, TensorCacheConfig};
-use ssdtrain_bench::{gb, paper_testbed, print_table};
+use ssdtrain_bench::{gb, paper_testbed, print_table, scaled_testbed};
 use ssdtrain_models::Arch;
 use ssdtrain_simhw::SystemConfig;
 use ssdtrain_train::{OffloadBackend, StepMetrics, TrainSession};
@@ -13,6 +20,12 @@ use ssdtrain_train::{OffloadBackend, StepMetrics, TrainSession};
 /// A steady month of training at the measured per-step traffic — long
 /// enough for the endurance split between backends to show.
 const PROJECTION_SECS: f64 = 30.0 * 24.0 * 3600.0;
+
+/// Link scale where every transfer hides inside compute.
+const AMPLE_SCALE: f64 = 10.0;
+
+/// Link scale where the links bind once adaptive offloading is off.
+const BINDING_SCALE: f64 = 0.5;
 
 struct Row {
     label: &'static str,
@@ -26,15 +39,7 @@ fn run_backend(label: &'static str, backend: OffloadBackend) -> Row {
 }
 
 fn run_backend_with(label: &'static str, backend: OffloadBackend, cache: TensorCacheConfig) -> Row {
-    let cfg = paper_testbed(Arch::Bert, 8192, 4, 16)
-        .strategy(PlacementStrategy::Offload)
-        .backend(backend)
-        .cache(cache)
-        .build()
-        .expect("valid config");
-    let mut session = TrainSession::new(cfg).expect("session construction");
-    let _ = session.profile_step().expect("profile step");
-    let metrics = session.run_step().expect("measured step");
+    let metrics = measure(backend, cache, SystemConfig::dac_testbed());
 
     // Project the SSD array's wear under a month of steady training at
     // this backend's per-step SSD traffic. Only bytes that reach the
@@ -61,20 +66,64 @@ fn run_backend_with(label: &'static str, backend: OffloadBackend, cache: TensorC
     }
 }
 
+/// The profiled step's successor on `system`.
+fn measure(backend: OffloadBackend, cache: TensorCacheConfig, system: SystemConfig) -> StepMetrics {
+    let cfg = paper_testbed(Arch::Bert, 8192, 4, 16)
+        .system(system)
+        .strategy(PlacementStrategy::Offload)
+        .backend(backend)
+        .cache(cache)
+        .build()
+        .expect("valid config");
+    let mut session = TrainSession::new(cfg).expect("session construction");
+    let _ = session.profile_step().expect("profile step");
+    session.run_step().expect("measured step")
+}
+
+/// Seconds a step waited for stores to land: stage-barrier drains plus
+/// the backward's memory wait.
+fn store_wait_secs(m: &StepMetrics) -> f64 {
+    m.offload.store_stall_secs + m.offload.memory_stall_secs
+}
+
+/// One backend where the links bind.
+struct Binding {
+    label: &'static str,
+    metrics: StepMetrics,
+}
+
 fn json_escape_free(s: &str) -> &str {
     // Labels and tier names are ASCII identifiers; nothing to escape.
     s
 }
 
-fn emit_json(rows: &[Row]) {
-    let mut out = String::from("{\n  \"bench\": \"tiering\",\n  \"model\": \"bert_h8192_l4\",\n  \"batch\": 16,\n  \"backends\": [\n");
+fn emit_json(rows: &[Row], compute_bound: &StepMetrics, binding: &[Binding]) {
+    let mut out = String::from(
+        "{\n  \"bench\": \"tiering\",\n  \"model\": \"bert_h8192_l4\",\n  \"batch\": 16,\n",
+    );
+    out.push_str(&format!(
+        "  \"compute_bound_step_secs\": {:.6},\n  \"ample_link_scale\": {AMPLE_SCALE},\n  \"binding_link_scale\": {BINDING_SCALE},\n  \"binding\": [\n",
+        compute_bound.step_secs
+    ));
+    for (i, b) in binding.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"binding_backend\": \"{}\", \"adaptive\": false, \"step_secs\": {:.6}, \"store_wait_secs\": {:.6}, \"act_peak_bytes\": {}}}{}\n",
+            json_escape_free(b.label),
+            b.metrics.step_secs,
+            store_wait_secs(&b.metrics),
+            b.metrics.act_peak_bytes,
+            if i + 1 < binding.len() { "," } else { "" },
+        ));
+    }
+    out.push_str("  ],\n  \"backends\": [\n");
     for (i, row) in rows.iter().enumerate() {
         let m = &row.metrics;
         out.push_str(&format!(
-            "    {{\n      \"name\": \"{}\",\n      \"step_secs\": {:.6},\n      \"store_stall_secs\": {:.6},\n      \"offloaded_bytes\": {},\n      \"spilled_bytes\": {},\n      \"ssd_endurance_remaining_after_30d\": {:.6},\n      \"ssd_lifespan_years\": {},\n      \"tiers\": [\n",
+            "    {{\n      \"name\": \"{}\",\n      \"step_secs\": {:.6},\n      \"store_stall_secs\": {:.6},\n      \"memory_stall_secs\": {:.6},\n      \"offloaded_bytes\": {},\n      \"spilled_bytes\": {},\n      \"ssd_endurance_remaining_after_30d\": {:.6},\n      \"ssd_lifespan_years\": {},\n      \"tiers\": [\n",
             json_escape_free(row.label),
             m.step_secs,
             m.offload.store_stall_secs,
+            m.offload.memory_stall_secs,
             m.offload.offloaded_bytes,
             m.offload.spilled_bytes,
             row.remaining_frac,
@@ -119,9 +168,9 @@ fn main() {
             },
         ),
         // Same tier stack, but the profile-guided cost model plans the
-        // per-module placement and trims the offload set until the store
-        // drain hides inside forward compute — the step-time win over
-        // the static front-first walk above.
+        // per-module placement and trims the offload set until its stores
+        // hide inside compute; the gate requires a faster step than the
+        // static front-first walk above.
         run_backend_with(
             "tiered-4g-planned",
             OffloadBackend::Tiered {
@@ -156,7 +205,7 @@ fn main() {
             vec![
                 row.label.to_owned(),
                 format!("{:.3}", m.step_secs),
-                format!("{:.3}", m.offload.store_stall_secs),
+                format!("{:.3}", store_wait_secs(m)),
                 format!("{:.2}", gb(m.offload.offloaded_bytes)),
                 format!("{front_gb:.2}"),
                 format!("{ssd_gb:.2}"),
@@ -173,7 +222,7 @@ fn main() {
         &[
             "backend",
             "step s",
-            "stall s",
+            "store wait s",
             "offloaded GB",
             "front GB",
             "ssd GB",
@@ -183,9 +232,55 @@ fn main() {
         ],
         &table,
     );
-    emit_json(&rows);
+    let compute_bound = measure(
+        OffloadBackend::Ssd,
+        TensorCacheConfig::default(),
+        scaled_testbed(AMPLE_SCALE),
+    );
+    let unplanned = TensorCacheConfig {
+        adaptive: false,
+        ..TensorCacheConfig::default()
+    };
+    let binding: Vec<Binding> = [
+        ("ssd", OffloadBackend::Ssd),
+        ("dram", OffloadBackend::Dram),
+        (
+            "tiered-4g",
+            OffloadBackend::Tiered {
+                dram_bytes: 4 << 30,
+            },
+        ),
+    ]
+    .into_iter()
+    .map(|(label, backend)| Binding {
+        label,
+        metrics: measure(backend, unplanned.clone(), scaled_testbed(BINDING_SCALE)),
+    })
+    .collect();
+    let binding_table: Vec<Vec<String>> = binding
+        .iter()
+        .map(|b| {
+            vec![
+                b.label.to_owned(),
+                format!("{:.6}", b.metrics.step_secs),
+                format!("{:.6}", store_wait_secs(&b.metrics)),
+                format!("{:.2}", gb(b.metrics.act_peak_bytes)),
+            ]
+        })
+        .collect();
+    print_table(
+        &format!(
+            "Where the links bind (×{BINDING_SCALE} links, adaptive off; compute-bound step {:.6} s)",
+            compute_bound.step_secs
+        ),
+        &["backend", "step s", "store wait s", "act peak GB"],
+        &binding_table,
+    );
+    emit_json(&rows, &compute_bound, &binding);
     println!(
-        "\nthe DRAM front tier absorbs write traffic the flash would otherwise wear\n\
+        "\nat the testbed point every backend hides its stores and reports the\n\
+         compute-bound step; where the links bind they order by link speed.\n\
+         the DRAM front tier absorbs write traffic the flash would otherwise wear\n\
          through; the tiered point keeps most of the SSD array's endurance headroom\n\
          while bounding pinned host memory at 4 GiB (vs the 1 TiB the dram-only\n\
          backend pins)."

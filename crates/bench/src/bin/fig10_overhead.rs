@@ -35,7 +35,10 @@ fn main() {
                 format!("{:.2}", gib(mo.act_peak_bytes)),
                 format!("{:.0}%", reduction),
                 format!("{:.4}", mo.offload.stall_secs),
-                format!("{:.4}", mo.offload.store_stall_secs),
+                format!(
+                    "{:.4}",
+                    mo.offload.store_stall_secs + mo.offload.memory_stall_secs
+                ),
             ]);
         }
     }
@@ -50,7 +53,7 @@ fn main() {
             "TBA GiB",
             "peak cut",
             "load stall s",
-            "drain s",
+            "store wait s",
         ],
         &rows,
     );
@@ -58,7 +61,7 @@ fn main() {
         "\npaper claims: TBA has almost no step-time overhead in all cases (I/O fully \
          overlapped; stall ≈ 0) and cuts the activation peak by 28–47%.\n\
          the overhead is the exposed I/O: `load stall s` waits on reloads in backward, \
-         `drain s` on the store queues at stage barriers."
+         `store wait s` on stores to land (stage-barrier drains and the backward's memory wait)."
     );
     if let Some(path) = trace_path {
         export_trace(&sink, &path);

@@ -19,6 +19,7 @@
 
 use ssdtrain::{chrome_trace_json, text_summary, PlacementStrategy, TraceSink};
 use ssdtrain_models::{Arch, ModelConfig};
+use ssdtrain_simhw::SystemConfig;
 use ssdtrain_train::{SessionBuilder, SessionConfig, StepMetrics, TrainSession};
 use std::path::{Path, PathBuf};
 
@@ -117,6 +118,17 @@ pub fn paper_testbed(arch: Arch, hidden: usize, layers: usize, batch: usize) -> 
         .batch_size(batch)
         .symbolic(true)
         .seed(42)
+}
+
+/// The Table 3 testbed with every offload-path link — PCIe and the SSD
+/// array's members, both directions — scaled by `f`: `f > 1` where the
+/// links outrun compute, `f < 1` where they bind.
+pub fn scaled_testbed(f: f64) -> SystemConfig {
+    let mut sys = SystemConfig::dac_testbed();
+    sys.pcie_bps *= f;
+    sys.ssd_array.member.write_bps *= f;
+    sys.ssd_array.member.read_bps *= f;
+    sys
 }
 
 /// Builds a paper-scale (symbolic) session on the Table 3 testbed.

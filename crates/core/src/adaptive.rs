@@ -161,11 +161,13 @@ impl AdaptivePlan {
     /// 1. The bandwidth budget is [`CostModel::effective_write_bps`] of
     ///    the *planned* byte split — with a shared write bus this is
     ///    strictly less than the parallel link sum the raw path assumes.
-    /// 2. A stage-barrier trim: backward cannot begin until the forward
-    ///    stage's stores drain (see [`crate::TensorCache::drain_stores`]),
-    ///    so tail modules are kept resident until the planned drain hides
-    ///    inside the forward pass — offload as much as the bus can
-    ///    actually absorb, and no more.
+    /// 2. A stage-barrier trim: the cost model prices the forward
+    ///    stage's stores as if they drained before the backward (see
+    ///    [`crate::costmodel`]), so tail modules are kept resident until
+    ///    the planned drain hides inside the forward pass — offload as
+    ///    much as the bus can absorb before the backward, and no more.
+    ///    The cache lets those stores run into the backward, so the trim
+    ///    is conservative.
     pub fn decide_with_cost(
         profile: &StepProfile,
         cost: &CostModel,

@@ -30,12 +30,12 @@ use crate::target::{BatchItem, OffloadTarget};
 use crate::tier::{TierId, TierPlacement, TierStack};
 use parking_lot::Mutex;
 use ssdtrain_autograd::{ModuleHooks, Packed, Phase, SavedTensorHooks, ScopeInfo};
-use ssdtrain_simhw::{ArenaStats, BufferArena, GpuMemory, PinnedSlab, SimTime};
+use ssdtrain_simhw::{AllocGate, ArenaStats, BufferArena, GpuMemory, PinnedSlab, SimTime};
 use ssdtrain_tensor::Tensor;
 use ssdtrain_trace::{ArgValue, TraceCategory, TraceSink};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 type RecordId = u64;
 
@@ -136,8 +136,8 @@ struct Record {
     /// in flight; released exactly once when the staging retires.
     slab: Option<PinnedSlab>,
     /// When the committed store's job ends — the bytes' earliest legal
-    /// read. Reset at `begin_step`: the previous step's drains landed
-    /// every store before the clock restarted.
+    /// read. Reset at `begin_step`: the previous step's closing drains
+    /// landed every store before the clock restarted.
     landed: SimTime,
     /// Admitted by a module the previous step's opening prefetch window
     /// covered (see [`WindowForecast`]): a staged member of a segment
@@ -156,6 +156,10 @@ struct SegmentState {
     /// Sealed by the coalescer (counted in
     /// [`OffloadStats::coalesce_segments`]), not a 1-member store.
     coalesced: bool,
+    /// Sealed by a stage exit or flush whatever its fill, not at the size
+    /// threshold: the backward's memory wait does not wait for it
+    /// ([`TensorCache::wait_for_memory`]).
+    exit_sealed: bool,
     entries: Vec<SegmentEntry>,
 }
 
@@ -188,7 +192,7 @@ struct WindowForecast {
     /// Forward-order positions of the modules the backward's opening
     /// prefetch covered ([`TensorCache::opening_window`]).
     positions: HashSet<usize>,
-    /// The forward stage's length up to its exit, before the store drain.
+    /// The forward stage's length up to its exit.
     fwd_secs: f64,
 }
 
@@ -209,8 +213,9 @@ struct Inner {
     fwd_secs: f64,
     /// Submitted segments whose store jobs are in flight, committed
     /// (written through [`crate::TierStack::write_segment`]) or
-    /// recovered as a unit; removal marks the segment committed.
-    segments: HashMap<u64, SegmentState>,
+    /// recovered as a unit; removal marks the segment committed. Ordered
+    /// by id, so sweeps commit in submission order.
+    segments: BTreeMap<u64, SegmentState>,
     /// Groups already prefetched this step (group double-buffering must
     /// never load a group twice).
     groups_loaded: HashSet<(usize, usize)>,
@@ -219,6 +224,12 @@ struct Inner {
     group_slabs: HashMap<(usize, usize), PinnedSlab>,
     /// When the current forward stage began.
     fwd_stage_enter: SimTime,
+    /// When the backward last began (the forward → backward switch).
+    bwd_enter: SimTime,
+    /// Between a forward stage's exit and its backward stage's exit: the
+    /// forward's stores still run, and backward allocations wait for
+    /// them to land rather than lift the step's GPU high-water.
+    stores_overlap_backward: bool,
     /// What this step's forward exits observed, per micro-batch: the
     /// next step's forecast.
     next_forecast: HashMap<usize, WindowForecast>,
@@ -251,10 +262,12 @@ impl Default for Inner {
             profiling: false,
             fwd_start: SimTime::ZERO,
             fwd_secs: 0.0,
-            segments: HashMap::new(),
+            segments: BTreeMap::new(),
             groups_loaded: HashSet::new(),
             group_slabs: HashMap::new(),
             fwd_stage_enter: SimTime::ZERO,
+            bwd_enter: SimTime::ZERO,
+            stores_overlap_backward: false,
             next_forecast: HashMap::new(),
             forecast: HashMap::new(),
             admitted: None,
@@ -362,22 +375,27 @@ impl TensorCache {
     ) -> Arc<TensorCache> {
         let placement = PlacementPolicy::from_config(&config);
         let coalescer = Mutex::new(WriteCoalescer::new(config.coalesce_segment_bytes));
-        Arc::new(TensorCache {
-            config,
-            placement,
-            tiers,
-            io,
-            mem,
-            arena: BufferArena::new(),
-            coalescer,
-            inner: Mutex::new(Inner::default()),
-            arena_base: Mutex::new(ArenaStats::default()),
-            stats: Mutex::new(OffloadStats::default()),
-            plan: Mutex::new(AdaptivePlan::default()),
-            tier_plan: Mutex::new(TierPlan::default()),
-            link_stalls: Mutex::new(Vec::new()),
-            pending_error: Mutex::new(None),
-            trace: Mutex::new(TraceSink::disabled()),
+        // The cache gates the backward's allocations on `mem` (see
+        // [`TensorCache::wait_for_memory`]); the tracker holds it weakly.
+        Arc::new_cyclic(|cache: &Weak<TensorCache>| {
+            mem.set_alloc_gate(cache.clone());
+            TensorCache {
+                config,
+                placement,
+                tiers,
+                io,
+                mem,
+                arena: BufferArena::new(),
+                coalescer,
+                inner: Mutex::new(Inner::default()),
+                arena_base: Mutex::new(ArenaStats::default()),
+                stats: Mutex::new(OffloadStats::default()),
+                plan: Mutex::new(AdaptivePlan::default()),
+                tier_plan: Mutex::new(TierPlan::default()),
+                link_stalls: Mutex::new(Vec::new()),
+                pending_error: Mutex::new(None),
+                trace: Mutex::new(TraceSink::disabled()),
+            }
         })
     }
 
@@ -540,6 +558,9 @@ impl TensorCache {
         inner.fwd_start = self.io.clock().now();
         inner.fwd_stage_enter = inner.fwd_start;
         inner.fwd_secs = 0.0;
+        inner.stores_overlap_backward = false;
+        drop(inner);
+        self.mem.stop_cursor();
         *self.stats.lock() = OffloadStats::default();
         self.link_stalls.lock().clear();
         self.tiers.reset_counters();
@@ -739,14 +760,41 @@ impl TensorCache {
     }
 
     /// Whether prefetching record `rec` at `now` reloads its bytes (a
-    /// store still in flight is forwarded instead; staged and resident
-    /// records never left memory).
-    fn will_reload(&self, rec: &Record, now: SimTime) -> bool {
+    /// store still in flight is forwarded unless [`Self::lands_in_time`];
+    /// staged and resident records never left memory).
+    fn will_reload(&self, inner: &Inner, rec: &Record, now: SimTime) -> bool {
         match rec.state {
             RecState::Offloaded => true,
-            RecState::Storing { job, .. } => now >= self.io.store_end(job),
+            RecState::Storing { job, .. } => self.lands_in_time(inner, rec, job, now),
             _ => false,
         }
+    }
+
+    /// Whether a prefetch at `now` lets `rec`'s store on `job` land and
+    /// reads it back rather than forwarding it: the job has ended, or it
+    /// has started and its bytes land and read back (queueing aside)
+    /// before the forecast end of the backward. A started job writes its
+    /// bytes either way; reloading them keeps every written byte read.
+    fn lands_in_time(&self, inner: &Inner, rec: &Record, job: JobId, now: SimTime) -> bool {
+        let end = self.io.store_end(job);
+        if now >= end {
+            return true;
+        }
+        let read = self.io.load_secs_on(self.tiers.link(rec.tier), rec.bytes);
+        self.io.store_started(job, now)
+            && end.plus_secs(read) <= self.backward_end_forecast(inner, now)
+    }
+
+    /// The backward's forecast end: its start (now, when it has not begun)
+    /// plus [`TensorCacheConfig::bwd_fwd_ratio`] times the forward
+    /// stage's length.
+    fn backward_end_forecast(&self, inner: &Inner, now: SimTime) -> SimTime {
+        let start = if inner.phase.in_backward() {
+            inner.bwd_enter
+        } else {
+            now
+        };
+        start.plus_secs(self.config.bwd_fwd_ratio * start.since(inner.fwd_stage_enter))
     }
 
     /// The record ids of prefetch group `gidx` — the modules at
@@ -781,7 +829,7 @@ impl TensorCache {
                     bytes += inner
                         .records
                         .get(id)
-                        .filter(|r| self.will_reload(r, now))
+                        .filter(|r| self.will_reload(inner, r, now))
                         .map_or(0, |r| r.bytes);
                 }
             }
@@ -877,15 +925,105 @@ impl TensorCache {
         }
     }
 
+    /// Stage exit actions. Every exit drains the store queues except two:
+    /// the forward's and the boundary's before its backward. There the
+    /// forward's stores keep writing into the backward, behind three
+    /// waits — a reload never reads before its store landed
+    /// ([`Self::reload`]), a prefetch lets a started store land when it
+    /// can read it back in time ([`Self::lands_in_time`]), and a backward
+    /// allocation that would lift the step's GPU high-water waits for
+    /// stores to land ([`Self::wait_for_memory`]). The other drains stay
+    /// because the state classes rely on them: the deferred update's
+    /// momentum stores and the gradient stash would otherwise share the
+    /// write bus with the next stage's activations.
     fn exit_stage(&self, stage: StageHint) {
         match stage {
-            StageHint::Forward => self.withdraw_opening_window(),
-            StageHint::Backward => self.wait_io(),
+            StageHint::Forward => {
+                self.withdraw_opening_window();
+                self.overlap_backward();
+                return;
+            }
+            StageHint::Communication if self.inner.lock().stores_overlap_backward => return,
+            StageHint::Backward => {
+                self.wait_io();
+                self.inner.lock().stores_overlap_backward = false;
+                self.mem.stop_cursor();
+            }
             _ => {}
         }
         self.drain_stores();
         if matches!(stage, StageHint::Optimizer) {
             self.emit_tier_io();
+        }
+    }
+
+    /// The forward exit without a barrier: open segments seal and submit
+    /// as a drain would seal them, landed segments commit, and the memory
+    /// timeline starts its running cursor for the backward's memory wait.
+    fn overlap_backward(&self) {
+        self.seal_open_segments();
+        let mut inner = self.inner.lock();
+        self.commit_landed(&mut inner, self.io.clock().now());
+        inner.stores_overlap_backward = true;
+        drop(inner);
+        self.mem.start_cursor();
+    }
+
+    /// Commits every submitted segment whose job has ended by `now`, in
+    /// submission order, so their frees reach the memory timeline before
+    /// anything later is checked against it.
+    fn commit_landed(&self, inner: &mut Inner, now: SimTime) {
+        while let Some(id) = inner
+            .segments
+            .iter()
+            .find(|(_, seg)| self.io.store_end(seg.job) <= now)
+            .map(|(id, _)| *id)
+        {
+            // ssdtrain-lint: allow(no-alloc-hot-loop): committing writes the
+            // landed segment's payload — the data path, once per segment
+            self.commit(inner, id);
+        }
+    }
+
+    /// The memory wait (the [`AllocGate`] the cache installs on its GPU
+    /// memory): while the forward's stores overlap the backward, an
+    /// allocation of `bytes` that would lift the step's GPU high-water
+    /// first waits for in-flight stores to land, in landing order, until
+    /// it fits — or until none is left to land. It waits for the
+    /// segments nothing has settled yet, with one exception: a partial
+    /// segment the forward exit sealed. That one holds the forward's
+    /// tail, which the backward reads back first, and waiting for it
+    /// would tie the wait to the size of whatever segment the exit
+    /// happened to seal (on a coalesced step, slower links could then
+    /// shorten the step). A segment a prefetch committed is settled: it
+    /// is being read straight back. The wait is its own `stall.memory`
+    /// span and [`OffloadStats::memory_stall_secs`].
+    fn wait_for_memory(&self, bytes: u64) {
+        loop {
+            let now = self.io.clock().now();
+            let next = {
+                let mut inner = self.inner.lock();
+                if !inner.stores_overlap_backward {
+                    return;
+                }
+                // ssdtrain-lint: allow(no-alloc-hot-loop): committing writes a
+                // landed segment's payload — the data path, once per segment
+                self.commit_landed(&mut inner, now);
+                inner
+                    .segments
+                    .values()
+                    .filter(|seg| !seg.exit_sealed)
+                    .map(|seg| self.io.store_end(seg.job))
+                    .reduce(SimTime::min)
+            };
+            if self.mem.fits_at(bytes, now) {
+                return;
+            }
+            let Some(until) = next else {
+                return;
+            };
+            let stall = self.wait_until(until, "stall.memory");
+            self.stats.lock().memory_stall_secs += stall;
         }
     }
 
@@ -900,10 +1038,8 @@ impl TensorCache {
     /// or counter is emitted, and the step is byte-identical to the
     /// pre-barrier behaviour.
     ///
-    /// This is what makes backends with different [`crate::TierLink`]
-    /// speeds report different step times: the write direction's
-    /// critical-path contribution is `max(compute, store drain)` per
-    /// stage instead of compute alone.
+    /// Stage exits call it except between a forward and its backward
+    /// (see [`Self::exit_stage`]), where the forward's stores run on.
     pub fn drain_stores(&self) {
         // A stage barrier flushes the pipeline: partial segments seal
         // and submit before the drain is measured, so no staged byte
@@ -947,7 +1083,7 @@ impl TensorCache {
     /// The forward exit on the coalesced path: records the window and the
     /// forward stage's length (the next step's forecast) and withdraws every
     /// opening-window record still staged — held or in an open segment —
-    /// instead of letting the drain seal it. Each is forwarded from
+    /// instead of letting the exit seal it. Each is forwarded from
     /// memory: its store is cancelled before any job carried it, so
     /// backward has nothing to reload. Whether a member is still staged
     /// here depends only on the forward order and the seal-time hold
@@ -1083,16 +1219,22 @@ impl TensorCache {
         self.stall_until(latest, "stall.drain");
     }
 
-    /// The one exposed I/O wait: advances the clock to `until`, books the
-    /// time in [`OffloadStats::stall_secs`] and, when any passed, emits a
-    /// `name` span ([`TraceCategory::Stall`]).
+    /// The exposed reload wait: [`Self::wait_until`] booked in
+    /// [`OffloadStats::stall_secs`].
     fn stall_until(&self, until: SimTime, name: &'static str) {
-        let stall = self.io.clock().advance_to(until);
+        let stall = self.wait_until(until, name);
         self.stats.lock().stall_secs += stall;
+    }
+
+    /// Advances the clock to `until` and, when any time passed, emits a
+    /// `name` span ([`TraceCategory::Stall`]); returns the seconds waited.
+    fn wait_until(&self, until: SimTime, name: &'static str) -> f64 {
+        let stall = self.io.clock().advance_to(until);
         if stall > 0.0 {
             self.trace()
                 .span(TraceCategory::Stall, name, until.plus_secs(-stall), until);
         }
+        stall
     }
 
     /// Micro-batch switch hint (Figure 4 ③): subsequent scopes belong to
@@ -1600,9 +1742,13 @@ impl TensorCache {
         let mut inner = self.inner.lock();
         let sealed = self.coalescer.lock().seal_all();
         for seg in sealed {
+            let id = seg.id;
             // ssdtrain-lint: allow(no-alloc-hot-loop): sealing submits the
             // segment's store job — the data path, one call per segment
             self.seal_segment(&mut inner, seg, false);
+            if let Some(state) = inner.segments.get_mut(&id) {
+                state.exit_sealed = true;
+            }
         }
     }
 
@@ -1691,6 +1837,7 @@ impl TensorCache {
                 tier: seg.tier,
                 class: seg.class,
                 coalesced,
+                exit_sealed: false,
                 entries: seg.entries,
             },
         );
@@ -1921,15 +2068,16 @@ impl TensorCache {
     }
 
     /// The one reload path activations and state slots share: submits
-    /// record `id`'s bytes on its tier's link — never before its store
-    /// landed — and reads them back ([`Self::read_back`]), attributes the
-    /// link occupancy to the record's module and books the class
-    /// counters. The record is `Loading` until the returned ready time.
+    /// record `id`'s bytes on its tier's link — the read starts no earlier
+    /// than its store landed — and reads them back ([`Self::read_back`]),
+    /// attributes the link occupancy to the record's module and books the
+    /// class counters. The record is `Loading` until the returned ready
+    /// time, the read's own end.
     fn reload(&self, inner: &mut Inner, id: RecordId) -> Option<SimTime> {
         let rec = inner.records.get_mut(&id)?;
         let link = self.tiers.link(rec.tier);
         let busy0 = self.io.read_busy_secs_on(link);
-        let ready = self.io.submit_load_from(link, rec.bytes).max(rec.landed);
+        let ready = self.io.submit_load_from_at(link, rec.bytes, rec.landed);
         let load_secs = self.io.read_busy_secs_on(link) - busy0;
         self.read_back(rec, ready);
         rec.state = RecState::Loading { ready };
@@ -2034,17 +2182,21 @@ impl TensorCache {
                     continue;
                 }
                 Some(RecState::Storing { job, seg }) => {
-                    if now < self.io.store_end(job) {
-                        // Still being stored: data forwarding at prefetch
-                        // time (Section 3.3.2) keeps the in-memory
-                        // reference so the store's completion never
-                        // frees it.
+                    let lands = inner
+                        .records
+                        .get(id)
+                        .is_some_and(|r| self.lands_in_time(&inner, r, job, now));
+                    if !lands {
+                        // Still being stored, too late to read back: data
+                        // forwarding at prefetch time (Section 3.3.2)
+                        // keeps the in-memory reference so the store's
+                        // completion never frees it.
                         self.forward(&mut inner, *id, now);
                         continue;
                     }
                     // ssdtrain-lint: allow(no-alloc-hot-loop): committing serialises the payload being offloaded — the data path, not bookkeeping
                     self.commit(&mut inner, seg);
-                    // Immediately reload below.
+                    // Reload below, reading from the landing on.
                 }
                 Some(RecState::Offloaded) => {}
                 _ => continue,
@@ -2459,9 +2611,17 @@ impl ModuleHooks for TensorCache {
     fn phase_changed(&self, phase: Phase) {
         let mut inner = self.inner.lock();
         if inner.phase == Phase::Forward && phase == Phase::Backward {
-            inner.fwd_secs = self.io.clock().now().since(inner.fwd_start);
+            let now = self.io.clock().now();
+            inner.fwd_secs = now.since(inner.fwd_start);
+            inner.bwd_enter = now;
         }
         inner.phase = phase;
+    }
+}
+
+impl AllocGate for TensorCache {
+    fn before_alloc(&self, bytes: u64) {
+        self.wait_for_memory(bytes);
     }
 }
 

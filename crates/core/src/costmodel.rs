@@ -19,11 +19,15 @@
 //! bus when one is configured — instead of summing link bandwidths that
 //! cannot be used concurrently.
 //!
-//! Timing semantics mirror the simulator exactly (see
+//! Timing semantics mirror a stage-barrier schedule (see
 //! [`crate::TensorCache::drain_stores`]): stores submitted during
 //! forward cannot begin before the first module's compute finishes
 //! (`t0`), the forward stage ends at `max(compute, t0 + store drain)`,
-//! and the backward stage ends at `max(compute, reload time)`.
+//! and the backward stage ends at `max(compute, reload time)`. The cache
+//! itself no longer drains at the forward exit — the forward's stores
+//! run into the backward — so the model is conservative there: it
+//! prices a drain the simulated step only pays where a reload, a
+//! prefetch or a backward allocation waits on a store.
 
 use crate::adaptive::StepProfile;
 use crate::io::IoEngine;

@@ -516,12 +516,37 @@ impl IoEngine {
     /// time; returns the time the data is resident in GPU memory. An
     /// out-of-range link is clamped to the last one.
     pub fn submit_load_from(&self, link: usize, bytes: u64) -> SimTime {
+        self.submit_load_from_at(link, bytes, SimTime::ZERO)
+    }
+
+    /// Submits a load of `bytes` on `link` that starts no earlier than
+    /// `not_before` (the bytes' store landing) nor before now; returns
+    /// the read's own end. Reads stay FIFO per link, so later reads queue
+    /// behind this one.
+    ///
+    /// ```
+    /// use ssdtrain::IoEngine;
+    /// use ssdtrain_simhw::{SimClock, SimTime};
+    /// let io = IoEngine::new(SimClock::new(), 1e9, 1e9);
+    /// // The store lands at 2 s; the 1 s read runs after it.
+    /// let ready = io.submit_load_from_at(0, 1_000_000_000, SimTime::from_secs(2.0));
+    /// assert_eq!(ready.as_secs(), 3.0);
+    /// ```
+    pub fn submit_load_from_at(&self, link: usize, bytes: u64, not_before: SimTime) -> SimTime {
         let link = link.min(self.links.len() - 1);
-        let (start, end) = self.links[link].reads.submit(self.clock.now(), bytes);
+        let at = self.clock.now().max(not_before);
+        let (start, end) = self.links[link].reads.submit(at, bytes);
         *self.links[link].read_busy_secs.lock() += end.as_secs() - start.as_secs();
         self.trace()
             .span_bytes(TraceCategory::Load, "load", start, end, bytes);
         end
+    }
+
+    /// Transfer seconds of a `bytes` read on `link` at the current
+    /// slowdown, queueing excluded (out-of-range links clamp to the last).
+    pub fn load_secs_on(&self, link: usize, bytes: u64) -> f64 {
+        let link = link.min(self.links.len() - 1);
+        bytes as f64 / self.links[link].reads.effective_bandwidth()
     }
 
     /// When the last scheduled write across every link finishes.
@@ -701,6 +726,22 @@ mod tests {
         let ready = io.submit_load(2_000_000_000); // 1 s at 2 GB/s
         assert_eq!(ready.as_secs(), 2.0);
         assert_eq!(io.bytes_read(), 2_000_000_000);
+    }
+
+    #[test]
+    fn a_read_never_starts_before_its_store_lands() {
+        let (clock, io) = engine();
+        let store = io.submit_store(1_000_000_000); // lands at 1 s
+        clock.advance_by(0.25);
+        // 1 GB at 2 GB/s: 0.5 s of read after the landing, not from now.
+        let ready = io.submit_load_from_at(0, 1_000_000_000, io.store_end(store));
+        assert_eq!(ready.as_secs(), 1.5);
+        assert_eq!(io.read_busy_secs_on(0), 0.5);
+        // A landing already in the past starts the read now, FIFO behind
+        // the first one.
+        let next = io.submit_load_from_at(0, 1_000_000_000, SimTime::from_secs(0.1));
+        assert_eq!(next.as_secs(), 2.0);
+        assert_eq!(io.load_secs_on(0, 1_000_000_000), 0.5);
     }
 
     #[test]

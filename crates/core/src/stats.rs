@@ -64,6 +64,12 @@ pub struct OffloadStats {
     /// every store hides inside its stage's compute.
     #[serde(default)]
     pub store_stall_secs: f64,
+    /// Simulated seconds backward allocations waited for in-flight
+    /// stores to land so the step's GPU high-water would not rise (the
+    /// memory wait that replaces the forward-exit barrier); kept apart
+    /// from `stall_secs`, the reload exposure.
+    #[serde(default)]
+    pub memory_stall_secs: f64,
     /// Stores the offload target failed (recovery then applied per
     /// [`crate::RecoveryPolicy`]).
     pub store_failures: u64,
@@ -228,6 +234,7 @@ impl OffloadStats {
         }
         registry.observe("offload.stall_secs", self.stall_secs);
         registry.observe("offload.store_stall_secs", self.store_stall_secs);
+        registry.observe("offload.memory_stall_secs", self.memory_stall_secs);
     }
 }
 

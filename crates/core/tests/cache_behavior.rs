@@ -3,7 +3,8 @@
 //! parameter exclusion, stall accounting and adaptive profiling.
 
 use ssdtrain::{
-    CpuTarget, IoEngine, OffloadTarget, SsdTarget, StageHint, TensorCache, TensorCacheConfig,
+    CpuTarget, IoEngine, OffloadClass, OffloadTarget, SsdTarget, StageHint, TensorCache,
+    TensorCacheConfig,
 };
 use ssdtrain_autograd::{ops, ExecObserver, Graph, OpCost, Phase, SavedTensorHooks, Var};
 use ssdtrain_simhw::{GpuMemory, SimClock, WearMeter};
@@ -370,6 +371,53 @@ fn the_opening_window_stays_in_memory_once_a_step_forecasts_it() {
         forwarded.push((stats.forwarded_bytes, stats.offloaded_bytes));
     }
     assert_eq!(forwarded, vec![(128, 384), (256, 256), (256, 256)]);
+}
+
+#[test]
+fn a_started_store_that_lands_in_time_is_reloaded_not_forwarded() {
+    // 128 B stores at 64 kB/s take 2 ms each and queue FIFO behind one
+    // another while the forward runs at 1 ms per op: when the prefetch
+    // arrives the last module's stores are still writing, but they land
+    // and read back (1 GB/s) long before the backward's forecast end.
+    // A started one is reloaded once it lands; only a store still queued
+    // is forwarded, and it is cancelled, so every offloaded byte is read
+    // back. The input batch, which the test itself holds, stays resident
+    // like a parameter.
+    let r = rig(offload_all_config(), 64e3, 1e9, 1e-3);
+    let (w1t, w2t, xt) = init_weights(&r.dev, 37);
+    let w1 = Var::new("w1", w1t);
+    let w2 = Var::new("w2", w2t);
+    r.cache.register_parameter(&xt);
+    let loss = run_step(&r, &xt, &w1, &w2);
+    assert!(loss.is_finite());
+    let stats = r.cache.stats();
+    assert!(stats.prefetches > 0, "{stats:?}");
+    assert_eq!(stats.forwarded, stats.cancelled_stores, "{stats:?}");
+    let act = stats
+        .class(OffloadClass::Activation)
+        .expect("activation lane");
+    assert!(act.offloaded_bytes > 0, "{stats:?}");
+    assert_eq!(act.offloaded_bytes, act.reloaded_bytes, "{stats:?}");
+}
+
+#[test]
+fn a_reload_reads_only_after_its_store_lands() {
+    // A state slot commits when its job is submitted, so it is offloaded
+    // while the job still writes: 256 B at 1 kB/s lands at 0.256 s.
+    // Reading it straight back starts at the landing, not now: the
+    // 0.256 s read ends at 0.512 s.
+    let r = rig(offload_all_config(), 1e3, 1e3, 0.0);
+    r.cache.begin_step();
+    let t = Tensor::from_vec(vec![1.5; 64], [8, 8], &r.dev);
+    let slot = r
+        .cache
+        .offload_state(&t, OffloadClass::OptimizerState)
+        .expect("state offloaded");
+    let landed = r.cache.state_available_at(slot).expect("store submitted");
+    assert!((landed.as_secs() - 0.256).abs() < 1e-12, "{landed:?}");
+    let ready = r.cache.load_state(slot).expect("known slot");
+    assert!((ready.as_secs() - 0.512).abs() < 1e-12, "{ready:?}");
+    assert_eq!(t.to_vec(), vec![1.5; 64]);
 }
 
 #[test]

@@ -4,7 +4,7 @@ use crate::time::{SimClock, SimTime};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use ssdtrain_tensor::{MemClass, MemTracker};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// One point of the memory-footprint timeline (Figure 7 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -46,11 +46,63 @@ pub trait PeakObserver: Send + Sync {
     fn on_peak(&self, time: SimTime, total: u64, activations: u64);
 }
 
+/// Asked before an allocation is recorded, so a higher layer can delay
+/// it in simulated time — the tensor cache waits for in-flight stores to
+/// land rather than lift the step's high-water.
+///
+/// Called only while the tracker runs a cursor
+/// ([`GpuMemory::start_cursor`]), outside the tracker's internal lock,
+/// and never for an allocation stamped by [`GpuMemory::with_time`]: a
+/// future-stamped allocation is a transfer's landing, not compute the
+/// clock could hold back.
+pub trait AllocGate: Send + Sync {
+    /// `bytes` are about to be allocated at the current simulated time.
+    fn before_alloc(&self, bytes: u64);
+}
+
 #[derive(Debug, Clone, Copy)]
 struct Event {
     time: SimTime,
     delta: i64,
     class: MemClass,
+}
+
+/// The timeline read forward in time from one sort: the level at `at`,
+/// the high-water up to `at`, and the events stamped later, latest
+/// first (the next one to apply is last).
+#[derive(Debug)]
+struct Cursor {
+    at: SimTime,
+    level: i64,
+    high_water: i64,
+    pending: Vec<Event>,
+}
+
+impl Cursor {
+    fn apply(&mut self, e: &Event) {
+        self.level += e.delta;
+        self.high_water = self.high_water.max(self.level);
+    }
+
+    /// Takes in an event recorded while the cursor runs: applied now when
+    /// it is not later than the cursor, queued in time order otherwise
+    /// (equal times keep their recording order).
+    fn record(&mut self, e: Event) {
+        if e.time <= self.at {
+            self.apply(&e);
+        } else {
+            let pos = self.pending.partition_point(|p| p.time > e.time);
+            self.pending.insert(pos, e);
+        }
+    }
+
+    fn advance_to(&mut self, t: SimTime) {
+        while let Some(e) = self.pending.last().copied().filter(|e| e.time <= t) {
+            self.pending.pop();
+            self.apply(&e);
+        }
+        self.at = self.at.max(t);
+    }
 }
 
 #[derive(Debug, Default)]
@@ -59,6 +111,7 @@ struct State {
     events: Vec<Event>,
     time_override: Option<SimTime>,
     live_peak: i64,
+    cursor: Option<Cursor>,
 }
 
 /// A GPU memory tracker.
@@ -91,6 +144,7 @@ pub struct GpuMemory {
     capacity: u64,
     state: Arc<Mutex<State>>,
     observer: Arc<Mutex<Option<Arc<dyn PeakObserver>>>>,
+    gate: Arc<Mutex<Option<Weak<dyn AllocGate>>>>,
 }
 
 fn class_index(c: MemClass) -> usize {
@@ -112,7 +166,58 @@ impl GpuMemory {
             capacity,
             state: Arc::new(Mutex::new(State::default())),
             observer: Arc::new(Mutex::new(None)),
+            gate: Arc::new(Mutex::new(None)),
         }
+    }
+
+    /// Installs (or replaces) the allocation gate. The tracker holds it
+    /// weakly, so a gate that owns this tracker forms no cycle; clones of
+    /// this tracker share it.
+    pub fn set_alloc_gate(&self, gate: Weak<dyn AllocGate>) {
+        *self.gate.lock() = Some(gate);
+    }
+
+    /// Starts reading the timeline forward from now: sorts the events
+    /// recorded so far once and keeps the level and the high-water as
+    /// running values from then on (see [`GpuMemory::fits_at`]). Every
+    /// allocation stamped at the current time passes the
+    /// [`AllocGate`] first until [`GpuMemory::stop_cursor`] or
+    /// [`GpuMemory::reset`].
+    pub fn start_cursor(&self) {
+        let at = self.clock.now();
+        let mut s = self.state.lock();
+        let mut evs = s.events.clone();
+        evs.sort_by(|a, b| a.time.as_secs().total_cmp(&b.time.as_secs()));
+        let split = evs.partition_point(|e| e.time <= at);
+        let mut cursor = Cursor {
+            at,
+            level: 0,
+            high_water: 0,
+            pending: evs.split_off(split),
+        };
+        cursor.pending.reverse();
+        for e in &evs {
+            cursor.apply(e);
+        }
+        s.cursor = Some(cursor);
+    }
+
+    /// Stops the running cursor; allocations are no longer gated.
+    pub fn stop_cursor(&self) {
+        self.state.lock().cursor = None;
+    }
+
+    /// Whether `bytes` more, allocated at `t`, stay within the high-water
+    /// the timeline reached up to `t` — the running cursor first applies
+    /// every event stamped up to `t`, in time order. Always true without
+    /// a running cursor.
+    pub fn fits_at(&self, bytes: u64, t: SimTime) -> bool {
+        let mut s = self.state.lock();
+        let Some(cursor) = s.cursor.as_mut() else {
+            return true;
+        };
+        cursor.advance_to(t);
+        cursor.level.saturating_add(bytes as i64) <= cursor.high_water
     }
 
     /// Installs (or replaces) the live peak observer. Clones of this
@@ -144,7 +249,11 @@ impl GpuMemory {
             let mut s = self.state.lock();
             let time = s.time_override.unwrap_or_else(|| self.clock.now());
             s.current[class_index(class)] += delta;
-            s.events.push(Event { time, delta, class });
+            let event = Event { time, delta, class };
+            s.events.push(event);
+            if let Some(cursor) = s.cursor.as_mut() {
+                cursor.record(event);
+            }
             let total: i64 = s.current.iter().map(|v| *v.max(&0)).sum();
             if total > s.live_peak {
                 s.live_peak = total;
@@ -281,11 +390,24 @@ impl GpuMemory {
         s.current = [0; 5];
         s.events.clear();
         s.live_peak = 0;
+        s.cursor = None;
     }
 }
 
 impl MemTracker for GpuMemory {
     fn on_alloc(&self, bytes: u64, class: MemClass) {
+        let gated = {
+            let s = self.state.lock();
+            s.cursor.is_some() && s.time_override.is_none()
+        };
+        if gated {
+            // Outside the state lock: the gate advances the clock and
+            // commits stores whose frees land here.
+            let gate = self.gate.lock().as_ref().and_then(Weak::upgrade);
+            if let Some(gate) = gate {
+                gate.before_alloc(bytes);
+            }
+        }
         self.record(bytes as i64, class);
     }
     fn on_free(&self, bytes: u64, class: MemClass) {
@@ -399,6 +521,56 @@ mod tests {
         mem.reset();
         mem.on_alloc(1, MemClass::Workspace);
         assert_eq!(rec.0.lock().len(), 4, "reset restarts peak tracking");
+    }
+
+    #[test]
+    fn the_cursor_reads_the_timeline_forward_in_time_order() {
+        let (clock, mem) = gm();
+        mem.on_alloc(100, MemClass::Activation);
+        clock.advance_by(1.0);
+        mem.on_alloc(50, MemClass::Activation);
+        // A store landing at 3 s frees the first tensor.
+        mem.with_time(SimTime::from_secs(3.0), || {
+            mem.on_free(100, MemClass::Activation)
+        });
+        mem.start_cursor();
+        // Level 150 at t = 1 is also the high-water.
+        assert!(mem.fits_at(0, clock.now()));
+        assert!(!mem.fits_at(1, clock.now()));
+        // A free recorded while the cursor runs waits for its time.
+        mem.with_time(SimTime::from_secs(2.0), || {
+            mem.on_free(50, MemClass::Activation)
+        });
+        assert!(!mem.fits_at(1, SimTime::from_secs(1.5)));
+        assert!(mem.fits_at(50, SimTime::from_secs(2.0)));
+        assert!(mem.fits_at(150, SimTime::from_secs(3.0)));
+        assert!(!mem.fits_at(151, SimTime::from_secs(3.0)));
+        mem.stop_cursor();
+        assert!(mem.fits_at(u64::MAX, clock.now()));
+    }
+
+    #[test]
+    fn the_gate_sees_allocations_only_while_the_cursor_runs() {
+        #[derive(Default)]
+        struct Count(Mutex<Vec<u64>>);
+        impl AllocGate for Count {
+            fn before_alloc(&self, bytes: u64) {
+                self.0.lock().push(bytes);
+            }
+        }
+        let (_c, mem) = gm();
+        let gate = Arc::new(Count::default());
+        let weak: Weak<dyn AllocGate> = Arc::downgrade(&gate) as Weak<dyn AllocGate>;
+        mem.set_alloc_gate(weak);
+        mem.on_alloc(1, MemClass::Activation);
+        mem.start_cursor();
+        mem.on_alloc(2, MemClass::Activation);
+        mem.with_time(SimTime::from_secs(5.0), || {
+            mem.on_alloc(3, MemClass::Activation)
+        });
+        mem.reset();
+        mem.on_alloc(4, MemClass::Activation);
+        assert_eq!(*gate.0.lock(), vec![2]);
     }
 
     #[test]

@@ -43,14 +43,16 @@ cargo run -q -p ssdtrain-bench --release --bin bench_io
 # The bench reports must keep the backends' step times distinct and
 # ordered, and the I/O and capacity gates green (see the script header).
 scripts/bench_check.sh
-# The repo benchmark (perfbench/, its own package) on the workloads
-# that exercise the coalesced store path (smallblock-mixed) and carry
-# real numerics through the gradient and optimizer-state paths
-# (functional-gpt, whose losses must equal Keep bit for bit): each
-# result line must report `"correct": true` — per-class byte
-# conservation, identical steady-state steps and, for functional-gpt,
-# bit-identical losses — with no failed step.
-for workload in smallblock-mixed functional-gpt; do
+# The repo benchmark (perfbench/, its own package) on every workload:
+# the per-tensor stores of the paper's Figure 10 point (paper-fig10, the
+# first to fail if a store is forwarded after its job started), the
+# coalesced store path (smallblock-mixed) and real numerics through the
+# gradient and optimizer-state paths (functional-gpt, whose losses must
+# equal Keep bit for bit): each result line must report
+# `"correct": true` — per-class byte conservation, identical
+# steady-state steps and, for functional-gpt, bit-identical losses —
+# with no failed step.
+for workload in paper-fig10 smallblock-mixed functional-gpt; do
   result=$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml \
     --target-dir target/perfbench -- \
     --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)

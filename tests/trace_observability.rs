@@ -516,7 +516,10 @@ fn tier_drain_spans_match_the_stall_counters() {
     // counters byte for byte.
     //
     // The testbed's array hides the tiny model's traffic entirely, so
-    // slow its write path until the stage barrier exposes a drain.
+    // slow its write path until a stage barrier exposes a drain. The
+    // forward's stores run into the backward, where the memory wait
+    // absorbs them; the gradient stash still drains at the post-backward
+    // barrier.
     let mut sys = SystemConfig::dac_testbed();
     sys.ssd_array.member.write_bps = 1e6;
     let sink = TraceSink::enabled();
@@ -524,6 +527,7 @@ fn tier_drain_spans_match_the_stall_counters() {
         .model(ModelConfig::tiny_gpt())
         .batch_size(2)
         .cache(TensorCacheConfig::offload_everything())
+        .offload(OffloadClass::Gradient, true)
         .system(sys)
         .seed(7)
         .backend(OffloadBackend::Ssd)
